@@ -1,15 +1,17 @@
 //! Figure 15a: OVS datapath throughput vs measurement threads, with
 //! and without CocoSketch attached.
 //!
-//! The real ring-buffer datapath ([`ovssim`]) is exercised at each
-//! thread count for correctness (every packet processed, totals
-//! conserved); the *throughput* column applies the Figure 15a model —
-//! measured per-thread capacity x threads, capped at the 40GbE line
-//! rate — because a single host core cannot exhibit thread scaling
-//! (see DESIGN.md's substitution table).
+//! The sharded engine — the datapath's RSS partition, per-queue rings,
+//! polling shard workers and merge — is run at each thread count for
+//! correctness (every packet processed, totals conserved); the
+//! *throughput* column applies the Figure 15a model — measured
+//! per-thread capacity x threads, capped at the 40GbE line rate
+//! ([`ovssim::NicModel`]) — because a single host core cannot exhibit
+//! thread scaling (see DESIGN.md's substitution table).
 
 use cocosketch_bench::{f, Cli, ResultTable};
-use ovssim::{datapath, NicModel, OvsConfig, OvsSim};
+use engine::{EngineConfig, ShardedCocoSketch};
+use ovssim::NicModel;
 use tasks::{timing, Algo, Pipeline};
 use traffic::{presets, KeySpec};
 
@@ -68,22 +70,28 @@ fn main() {
         &["threads", "OVS w/o Ours", "OVS w/ Ours", "verified packets"],
     );
     for threads in 1..=4usize {
-        // Exercise the real datapath for correctness at this width.
-        let run = OvsSim::new(OvsConfig {
-            threads,
-            mem_bytes: MEM,
-            ..OvsConfig::default()
-        })
-        .run(&trace);
+        // Exercise the real sharded datapath for correctness at this
+        // width.
+        let run = ShardedCocoSketch::with_memory(
+            MEM,
+            EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            },
+        )
+        .run_trace(&trace, &KeySpec::FIVE_TUPLE);
         assert_eq!(run.processed, trace.len() as u64, "datapath lost packets");
-        let total: u64 = run.merged.values().sum();
-        assert_eq!(total, trace.total_weight(), "merge must conserve weight");
+        assert_eq!(
+            run.sketch.total_value(),
+            trace.total_weight(),
+            "merge must conserve weight"
+        );
 
-        let with_mpps = datapath::modeled_mpps(with_sketch, threads, &nic);
-        let without_mpps = datapath::modeled_mpps(without_sketch, threads, &nic);
+        let with_mpps = nic.cap_mpps(with_sketch * threads as f64);
+        let without_mpps = nic.cap_mpps(without_sketch * threads as f64);
         eprintln!(
             "fig15a: {threads} threads: w/o {without_mpps:.1} Mpps, w/ {with_mpps:.1} Mpps (real run {:.2} Mpps)",
-            run.measured_mpps
+            run.mpps
         );
         table.push(vec![
             threads.to_string(),

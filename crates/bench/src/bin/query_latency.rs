@@ -1,20 +1,18 @@
 //! Query-plane latency: per-spec scans vs the query engine, as JSON.
 //!
 //! Builds a ≥100k-row `(full key, size)` [`FlowTable`] from the exact
-//! flow counts of a CAIDA-like trace and times five ways of answering
+//! flow counts of a CAIDA-like trace and times four ways of answering
 //! partial-key query sets over it:
 //!
 //! 1. **per-spec scan** — one [`FlowTable::query_partial`] pass per
 //!    spec (the pre-engine baseline; already projector-compiled);
-//! 2. **single pass** — [`FlowTable::query_multi`], all specs in one
-//!    row scan;
-//! 3. **parallel scan** — [`FlowTable::query_multi_parallel`], the row
-//!    scan chunked across threads with exact thread-local merge;
-//! 4. **hierarchy rollup (maps)** — [`FlowTable::query_rollup`] over
+//! 2. **engine** — [`FlowTable::query_all`] over the paper's six keys,
+//!    the path `Pipeline::estimates` takes;
+//! 3. **hierarchy rollup (maps)** — [`FlowTable::query_rollup`] over
 //!    the 33-level source-IP hierarchy: one scan for /32, every coarser
 //!    level merged linearly from its parent's shrinking sorted result,
 //!    each level materialized as a hash map;
-//! 5. **hierarchy rollup (sorted entries)** —
+//! 4. **hierarchy rollup (sorted entries)** —
 //!    [`FlowTable::query_all_entries`], the same rollup in its native
 //!    sorted-entry shape (what the HHH task consumes), which never
 //!    builds a per-level hash table. This is the headline
@@ -26,7 +24,7 @@
 //! perf trajectory is tracked alongside `BENCH_throughput.json`.
 //!
 //! Run with:
-//! `cargo run --release -p cocosketch-bench --bin query_latency -- [--scale N] [--seed S] [--threads T] [--out DIR]`
+//! `cargo run --release -p cocosketch-bench --bin query_latency -- [--scale N] [--seed S] [--out DIR]`
 
 use cocosketch::FlowTable;
 use hashkit::FastMap;
@@ -38,7 +36,6 @@ use traffic::{presets, truth, KeyBytes, KeySpec};
 struct Args {
     scale: usize,
     seed: u64,
-    threads: usize,
     out_dir: PathBuf,
 }
 
@@ -46,10 +43,6 @@ fn parse_args() -> Args {
     let mut a = Args {
         scale: 10, // 27M-packet CAIDA preset / 10 -> ~130k distinct flows
         seed: 0xC0C0,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
         out_dir: PathBuf::from("results"),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,10 +57,9 @@ fn parse_args() -> Args {
         match args[i].as_str() {
             "--scale" => a.scale = need_value(i).parse().expect("--scale takes an integer"),
             "--seed" => a.seed = need_value(i).parse().expect("--seed takes an integer"),
-            "--threads" => a.threads = need_value(i).parse().expect("--threads takes an integer"),
             "--out" => a.out_dir = PathBuf::from(need_value(i)),
             "--help" | "-h" => {
-                eprintln!("usage: query_latency [--scale N] [--seed S] [--threads T] [--out DIR]");
+                eprintln!("usage: query_latency [--scale N] [--seed S] [--out DIR]");
                 std::process::exit(0);
             }
             other => {
@@ -78,7 +70,6 @@ fn parse_args() -> Args {
         i += 2;
     }
     assert!(a.scale > 0, "--scale must be positive");
-    assert!(a.threads > 0, "--threads must be positive");
     a
 }
 
@@ -119,16 +110,6 @@ fn main() {
     {
         let base_six = per_spec(&six);
         assert_eq!(
-            table.query_multi(&six),
-            base_six,
-            "single-pass must be bit-identical"
-        );
-        assert_eq!(
-            table.query_multi_parallel(&six, args.threads),
-            base_six,
-            "parallel scan must be bit-identical"
-        );
-        assert_eq!(
             table.query_all(&six),
             base_six,
             "engine must be bit-identical"
@@ -159,35 +140,25 @@ fn main() {
     // slow drift of the host (page cache, allocator arenas, noisy
     // neighbours) hits every path alike instead of whichever ran last.
     let mut t_six_scan = f64::INFINITY;
-    let mut t_six_multi = f64::INFINITY;
-    let mut t_six_par = f64::INFINITY;
     let mut t_six_engine = f64::INFINITY;
     let mut t_h_scan = f64::INFINITY;
     let mut t_h_rollup = f64::INFINITY;
     let mut t_h_entries = f64::INFINITY;
     for _ in 0..REPS {
         t_six_scan = t_six_scan.min(time_once(|| per_spec(&six)));
-        t_six_multi = t_six_multi.min(time_once(|| table.query_multi(&six)));
-        t_six_par = t_six_par.min(time_once(|| table.query_multi_parallel(&six, args.threads)));
         t_six_engine = t_six_engine.min(time_once(|| table.query_all(&six)));
         t_h_scan = t_h_scan.min(time_once(|| per_spec(&hierarchy)));
         t_h_rollup = t_h_rollup.min(time_once(|| table.query_rollup(&hierarchy)));
         t_h_entries = t_h_entries.min(time_once(|| table.query_all_entries(&hierarchy)));
     }
 
-    let single_pass_speedup = t_six_scan / t_six_multi;
-    let parallel_speedup = t_six_scan / t_six_par;
     let engine_speedup = t_six_scan / t_six_engine;
     let rollup_maps_speedup = t_h_scan / t_h_rollup;
     let rollup_speedup = t_h_scan / t_h_entries;
     let per_row = |ns: f64| ns / n_rows as f64;
     eprintln!(
-        "query_latency: 6 keys: per-spec {:.1} ns/row, single-pass {:.1} ns/row ({single_pass_speedup:.2}x), \
-         parallel[{} threads] {:.1} ns/row ({parallel_speedup:.2}x), engine {:.1} ns/row ({engine_speedup:.2}x)",
+        "query_latency: 6 keys: per-spec {:.1} ns/row, engine {:.1} ns/row ({engine_speedup:.2}x)",
         per_row(t_six_scan),
-        per_row(t_six_multi),
-        args.threads,
-        per_row(t_six_par),
         per_row(t_six_engine),
     );
     eprintln!(
@@ -200,14 +171,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"query_latency\",\n  \"rows\": {n_rows},\n  \"specs\": {},\n  \
-         \"hierarchy_levels\": {},\n  \"threads\": {},\n  \"seed\": {},\n  \
+         \"hierarchy_levels\": {},\n  \"seed\": {},\n  \
          \"ns_per_row\": {{\n    \"six_keys_per_spec_scan\": {:.2},\n    \
-         \"six_keys_single_pass\": {:.2},\n    \"six_keys_parallel_scan\": {:.2},\n    \
          \"six_keys_engine\": {:.2},\n    \
          \"hierarchy_per_spec_scan\": {:.2},\n    \"hierarchy_rollup_maps\": {:.2},\n    \
          \"hierarchy_rollup_entries\": {:.2}\n  }},\n  \
-         \"single_pass_speedup\": {single_pass_speedup:.3},\n  \
-         \"parallel_speedup\": {parallel_speedup:.3},\n  \
          \"engine_speedup\": {engine_speedup:.3},\n  \
          \"rollup_maps_speedup\": {rollup_maps_speedup:.3},\n  \
          \"rollup_speedup\": {rollup_speedup:.3},\n  \
@@ -215,16 +183,11 @@ fn main() {
          is reported; ns_per_row is whole-query-set nanoseconds divided by table rows; rollup_speedup \
          compares the 33-level hierarchy answered as sorted entries (the shape the HHH task consumes) \
          against 33 per-spec scans, rollup_maps_speedup is the same rollup materialized as per-level \
-         hash maps; single-pass and parallel are primitives for traversal-bound or multi-core settings \
-         and are expected to trail the per-spec scan on an in-memory table with few cores — engine_speedup \
-         is the path Pipeline::estimates takes\"\n}}\n",
+         hash maps; engine_speedup is the path Pipeline::estimates takes\"\n}}\n",
         six.len(),
         hierarchy.len(),
-        args.threads,
         args.seed,
         per_row(t_six_scan),
-        per_row(t_six_multi),
-        per_row(t_six_par),
         per_row(t_six_engine),
         per_row(t_h_scan),
         per_row(t_h_rollup),

@@ -1,5 +1,5 @@
-//! Durable epoch tier benchmark: seal latency, reopen/scan rate, and
-//! rollup-cache speedup, as JSON.
+//! Durable epoch tier benchmark: seal latency and reopen/scan rate, as
+//! JSON.
 //!
 //! Exercises the storage layer the way `measure --window --spill` uses
 //! it:
@@ -11,25 +11,19 @@
 //! 2. **reopen** — close and reopen the populated directory (manifest
 //!    decode + prefix validation + tail checksum), then **scan** every
 //!    segment back through the total decoder, reporting epochs/s and
-//!    MB/s;
-//! 3. **rollup cache** — the paper's six keys over reloaded epochs,
-//!    cold ([`cocosketch::FlowTable::query_all_entries`] per epoch)
-//!    versus warm ([`cocosketch::RollupCache`] hits); every cached
-//!    answer is asserted **bit-identical** to the cold scan *before*
-//!    anything is timed — the cache may never trade correctness for
-//!    speed.
+//!    MB/s.
 //!
 //! The run repeats `--reps` times in fresh directories; per-epoch seal
-//! latencies merge across reps, rates take the best rep (the usual
-//! steady-state estimator for I/O benches), and the speedup divides
-//! summed cold time by summed hit time. `scripts/bench_compare.sh`
-//! diffs `rollup_cache_speedup` against the committed baseline.
+//! latencies merge across reps, and rates take the best rep (the usual
+//! steady-state estimator for I/O benches). `scripts/bench_compare.sh`
+//! prints `seal_append_us_mean` and `scan_mb_per_s` against the
+//! committed baseline.
 //!
 //! Run with:
 //! `cargo run --release -p cocosketch-bench --bin storage -- [--epochs N] [--rows R] [--reps K] [--out DIR]`
 
 use cocosketch::segment::EpochDir;
-use cocosketch::{Epoch, FlowTable, RollupCache};
+use cocosketch::{Epoch, FlowTable};
 use std::path::PathBuf;
 use std::time::Instant;
 use traffic::{FiveTuple, KeyBytes, KeySpec};
@@ -119,14 +113,11 @@ fn main() {
     let epochs: Vec<Epoch> = (0..args.epochs)
         .map(|id| build_epoch(id, args.rows))
         .collect();
-    let specs = KeySpec::PAPER_SIX;
 
     let mut seal_us: Vec<f64> = Vec::new();
     let mut best_reopen_ms = f64::INFINITY;
     let mut best_scan_eps = 0.0f64;
     let mut best_scan_mbps = 0.0f64;
-    let mut cold_ns_total = 0u64;
-    let mut hit_ns_total = 0u64;
     let mut stored_bytes = 0u64;
 
     for rep in 0..args.reps {
@@ -172,47 +163,6 @@ fn main() {
             best_scan_mbps = scan_mbps;
         }
 
-        // Section 3: rollup cache over reloaded epochs. Gate first:
-        // every cached answer bit-identical to the cold scan, for every
-        // (epoch, spec) — only then time cold vs hit.
-        let reloaded: Vec<Epoch> = dir
-            .scan()
-            .collect::<std::io::Result<_>>()
-            .expect("reload for cache gate");
-        let mut cache = RollupCache::new(reloaded.len() * specs.len());
-        for e in &reloaded {
-            let cold = e.primary().query_all_entries(&specs);
-            let cached = cache.query(e, &specs);
-            for (c, k) in cached.iter().zip(&cold) {
-                assert_eq!(
-                    c.as_ref(),
-                    k,
-                    "cache diverged from cold scan (epoch {})",
-                    e.id
-                );
-            }
-        }
-        let hits_before = cache.stats().hits;
-        let t = Instant::now();
-        for e in &reloaded {
-            for ans in cache.query(e, &specs) {
-                std::hint::black_box(ans.len());
-            }
-        }
-        hit_ns_total += t.elapsed().as_nanos() as u64;
-        assert_eq!(
-            cache.stats().hits - hits_before,
-            (reloaded.len() * specs.len()) as u64,
-            "warm pass must be all hits"
-        );
-        let t = Instant::now();
-        for e in &reloaded {
-            for ans in e.primary().query_all_entries(&specs) {
-                std::hint::black_box(ans.len());
-            }
-        }
-        cold_ns_total += t.elapsed().as_nanos() as u64;
-
         eprintln!(
             "storage: rep {rep}: reopen {reopen_ms:.2} ms, scan {scan_eps:.0} epochs/s \
              ({scan_mbps:.0} MB/s)"
@@ -223,11 +173,7 @@ fn main() {
     seal_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let seal_mean = seal_us.iter().sum::<f64>() / seal_us.len() as f64;
     let seal_max = *seal_us.last().expect("at least one seal");
-    let speedup = cold_ns_total as f64 / (hit_ns_total as f64).max(1.0);
-    eprintln!(
-        "storage: seal {seal_mean:.0} us mean / {seal_max:.0} us max, \
-         rollup cache speedup {speedup:.1}x"
-    );
+    eprintln!("storage: seal {seal_mean:.0} us mean / {seal_max:.0} us max");
 
     let json = format!(
         "{{\n  \"bench\": \"storage\",\n  \"epochs\": {},\n  \"rows_per_epoch\": {},\n  \
@@ -237,13 +183,10 @@ fn main() {
          \"reopen_ms\": {best_reopen_ms:.3},\n  \
          \"scan_epochs_per_s\": {best_scan_eps:.1},\n  \
          \"scan_mb_per_s\": {best_scan_mbps:.1},\n  \
-         \"rollup_cache_speedup\": {speedup:.2},\n  \
          \"note\": \"seal = full durability protocol (encode, tmp write, fsync, rename, \
          manifest replace) per appended epoch, latencies merged across reps; reopen = manifest \
          decode + prefix validation + tail checksum on a clean directory, best rep; scan = every \
-         segment back through the total decoder, best rep; rollup_cache_speedup = summed cold \
-         query_all_entries time / summed all-hit cache time over the paper's six keys, every \
-         cached answer asserted bit-identical to its cold scan before timing\"\n}}\n",
+         segment back through the total decoder, best rep\"\n}}\n",
         args.epochs, args.rows, args.reps,
     );
     print!("{json}");

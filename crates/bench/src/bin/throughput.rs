@@ -42,7 +42,6 @@
 //! `cargo run --release -p cocosketch-bench --features simd --bin throughput -- [--scale N] [--seed S] [--threads 1,2,4,8] [--reps R] [--pin] [--out DIR]`
 
 use engine::{EngineConfig, ShardedCocoSketch};
-use ovssim::datapath::modeled_mpps;
 use ovssim::NicModel;
 use sketches::Sketch;
 use std::fmt::Write as _;
@@ -266,7 +265,7 @@ fn main() {
             Vec::new()
         };
         let scaled = per_thread_capacity * threads as f64;
-        let capped = modeled_mpps(per_thread_capacity, threads, &nic);
+        let capped = nic.cap_mpps(per_thread_capacity * threads as f64);
         eprintln!(
             "throughput: {threads} threads: modeled {scaled:.2} Mpps ({capped:.2} behind 40GbE), \
              measured {measured_mean:.2} Mpps (var {measured_var:.4})"

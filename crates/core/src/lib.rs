@@ -57,7 +57,6 @@ pub mod hardware;
 pub mod merge;
 pub mod probability;
 pub mod query;
-pub mod rollup_cache;
 pub mod sampling;
 pub mod segment;
 pub mod snapshot;
@@ -68,7 +67,6 @@ pub use epoch::{Epoch, EpochStore, SpillSink};
 pub use hardware::{Combine, DivisionMode, HardwareCocoSketch};
 pub use merge::{merge_all, MergeError};
 pub use query::FlowTable;
-pub use rollup_cache::RollupCache;
 pub use sampling::SampledCoco;
 pub use segment::{CompactionPolicy, DirReader, EpochDir, SharedEpochDir};
 pub use vfs::{StdFs, Vfs, VfsFile};

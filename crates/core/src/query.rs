@@ -24,14 +24,10 @@
 //! - **Compiled projections** ([`traffic::Projector`]): each spec's
 //!   `g(·)` is lowered once into a branch-free byte gather-and-mask
 //!   plan, so the per-row cost is a handful of byte moves instead of a
-//!   `FiveTuple` decode/re-encode round trip.
-//! - **Single-pass multi-spec aggregation** ([`FlowTable::query_multi`]):
-//!   N specs are answered in one scan over the rows with N compiled
-//!   projectors, paying the row traversal once — the right shape when
-//!   the row source is expensive to traverse. For an in-memory table,
-//!   hashing dominates traversal, so [`FlowTable::query_all`] scans
-//!   unrelated specs per-spec instead (one hot result map at a time
-//!   beats interleaved inserts into N maps).
+//!   `FiveTuple` decode/re-encode round trip. Unrelated specs are
+//!   scanned one at a time: for an in-memory table hashing dominates
+//!   traversal, and one hot result map beats interleaved inserts into
+//!   N maps.
 //! - **Hierarchy rollup** ([`FlowTable::query_rollup`]): when one spec
 //!   is a partial key of another *in the same query set*, its result is
 //!   aggregated from the ancestor's (much smaller) result map instead
@@ -43,12 +39,12 @@
 //!   monotone in key-byte order, so each level is a linear adjacent
 //!   merge and hashing is paid only to materialize each level's result
 //!   map (once per output group, not once per row per level).
-//! - **Parallel scan** ([`FlowTable::query_multi_parallel`]): large
-//!   tables chunk their rows across worker threads (the crate
-//!   `engine`'s scoped-worker shape), aggregate into thread-local maps,
-//!   and merge by addition. Integer sums are associative and
-//!   commutative, so the merged result is exact and independent of
-//!   chunking and scheduling.
+//! - **Parallel scan** (inside [`FlowTable::query_all`] and
+//!   [`FlowTable::query_rollup_threads`]): each scanned spec of a large
+//!   table chunks its rows across scoped worker threads, aggregates
+//!   into thread-local maps, and merges by addition. Integer sums are
+//!   associative and commutative, so the merged result is exact and
+//!   independent of chunking and scheduling.
 
 use hashkit::{fast_map_with_capacity, invariant, FastMap};
 use traffic::{KeyBytes, KeySpec, Projector};
@@ -145,113 +141,10 @@ impl FlowTable {
         out
     }
 
-    /// Answer every spec in **one pass** over the rows: each row is
-    /// projected through all N compiled projectors into one scratch key.
-    /// Results are bit-identical to N calls of
-    /// [`query_partial`](Self::query_partial) for one row traversal.
-    ///
-    /// Prefer this shape when traversing the rows is the expensive part
-    /// (streamed or disk-resident sources); for in-memory tables the
-    /// per-spec scans of [`query_all`](Self::query_all) measure faster
-    /// (see `root_results` in this module).
-    ///
-    /// # Panics
-    /// Panics if any spec is not a partial key of the table's full key.
-    pub fn query_multi(&self, specs: &[KeySpec]) -> Vec<FastMap<KeyBytes, u64>> {
-        let projs: Vec<Projector> = specs.iter().map(|s| self.compile(s)).collect();
-        let mut maps: Vec<FastMap<KeyBytes, u64>> = specs
-            .iter()
-            .map(|s| fast_map_with_capacity(Self::capacity_hint(s, self.rows.len())))
-            .collect();
-        Self::scan_into(&self.rows, &projs, &mut maps);
-        maps
-    }
-
-    /// The shared row scan: project every row through every compiled
-    /// projector, aggregating into the caller's maps.
-    fn scan_into(
-        rows: &[(KeyBytes, u64)],
-        projs: &[Projector],
-        maps: &mut [FastMap<KeyBytes, u64>],
-    ) {
-        let mut scratch = KeyBytes::EMPTY;
-        for (full_key, size) in rows {
-            for (proj, map) in projs.iter().zip(maps.iter_mut()) {
-                proj.project_into(full_key, &mut scratch);
-                *map.entry(scratch).or_insert(0) += size;
-            }
-        }
-    }
-
-    /// [`query_multi`](Self::query_multi) with the row scan chunked
-    /// across `threads` worker threads.
-    ///
-    /// Each worker aggregates its contiguous row chunk into private
-    /// maps; the chunks merge by per-key addition. `u64` addition is
-    /// associative and commutative and every row lands in exactly one
-    /// chunk, so the merged result is **exact** — bit-identical to the
-    /// single-threaded scan, independent of chunk boundaries and thread
-    /// scheduling — and total weight is conserved. `threads` is clamped
-    /// to the row count; `threads <= 1` runs inline.
-    ///
-    /// # Panics
-    /// Panics if any spec is not a partial key of the table's full key.
-    pub fn query_multi_parallel(
-        &self,
-        specs: &[KeySpec],
-        threads: usize,
-    ) -> Vec<FastMap<KeyBytes, u64>> {
-        let threads = threads.clamp(1, self.rows.len().max(1));
-        if threads == 1 {
-            return self.query_multi(specs);
-        }
-        let projs: Vec<Projector> = specs.iter().map(|s| self.compile(s)).collect();
-        let chunk_len = self.rows.len().div_ceil(threads);
-        let locals: Vec<Vec<FastMap<KeyBytes, u64>>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .rows
-                .chunks(chunk_len)
-                .map(|rows| {
-                    let projs = &projs;
-                    scope.spawn(move || {
-                        let mut maps: Vec<FastMap<KeyBytes, u64>> = specs
-                            .iter()
-                            .map(|s| fast_map_with_capacity(Self::capacity_hint(s, rows.len())))
-                            .collect();
-                        Self::scan_into(rows, projs, &mut maps);
-                        maps
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| match w.join() {
-                    Ok(maps) => maps,
-                    // A worker panic is a bug in the scan itself;
-                    // re-raise it with its original payload.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut locals = locals.into_iter();
-        let mut merged = locals
-            .next()
-            .unwrap_or_else(|| specs.iter().map(|_| FastMap::default()).collect());
-        for maps in locals {
-            for (acc, map) in merged.iter_mut().zip(maps) {
-                for (key, v) in map {
-                    *acc.entry(key).or_insert(0) += v;
-                }
-            }
-        }
-        merged
-    }
-
     /// Answer a set of related specs (e.g. a prefix hierarchy) with
     /// **rollup**: a spec that is a partial key of an earlier spec in
     /// the set is aggregated from that spec's (smaller) result map; the
-    /// remaining "root" specs are answered in one shared pass over the
-    /// rows.
+    /// remaining "root" specs are answered by one scan of the rows each.
     ///
     /// For the 33-level source-IP hierarchy this turns 33 × O(rows)
     /// scans into 1 scan + 32 rollups over maps that shrink level by
@@ -272,9 +165,13 @@ impl FlowTable {
         self.query_rollup_threads(specs, 1)
     }
 
-    /// [`query_rollup`](Self::query_rollup) with the shared root pass
-    /// run on `threads` workers (see
-    /// [`query_multi_parallel`](Self::query_multi_parallel)).
+    /// [`query_rollup`](Self::query_rollup) with every row scan chunked
+    /// across `threads` workers. Each worker aggregates its contiguous
+    /// row chunk into a private map and the chunks merge by per-key
+    /// addition, so the result is exact — bit-identical to the
+    /// single-threaded scan, independent of chunk boundaries and
+    /// thread scheduling. `threads` is clamped to the row count;
+    /// `threads <= 1` scans inline.
     ///
     /// Rollup itself never touches a hash table on the read side: a
     /// parent's result is sorted once (lexicographic key bytes) and
@@ -357,14 +254,6 @@ impl FlowTable {
 
     /// Answer the root specs of a rollup, one scan per spec (chunked
     /// across `threads` when parallel).
-    ///
-    /// Roots deliberately do *not* share a single
-    /// [`query_multi`](Self::query_multi) pass: re-streaming the row
-    /// vector once per spec is cheap next to hashing, and scans with
-    /// one hot result map measure faster than interleaved inserts into
-    /// N maps at every cardinality profiled — so the engine takes the
-    /// per-spec shape and leaves the single-pass primitive to callers
-    /// whose row source is expensive to traverse.
     fn root_results(&self, root_specs: &[KeySpec], threads: usize) -> Vec<FastMap<KeyBytes, u64>> {
         root_specs
             .iter()
@@ -376,13 +265,56 @@ impl FlowTable {
     /// loop inline, or the chunked parallel scan when workers are
     /// available.
     fn scan_one(&self, spec: &KeySpec, threads: usize) -> FastMap<KeyBytes, u64> {
-        if threads <= 1 {
+        let threads = threads.clamp(1, self.rows.len().max(1));
+        if threads == 1 {
             self.query_partial(spec)
         } else {
-            self.query_multi_parallel(std::slice::from_ref(spec), threads)
-                .pop()
-                .unwrap_or_else(|| invariant::violated("one parallel result for one spec"))
+            self.scan_parallel(spec, threads)
         }
+    }
+
+    /// The chunked scan of [`scan_one`](Self::scan_one): `threads`
+    /// scoped workers (2 ≤ `threads` ≤ rows) each aggregate a
+    /// contiguous row chunk into a private map; the maps merge by
+    /// per-key addition in chunk order.
+    fn scan_parallel(&self, spec: &KeySpec, threads: usize) -> FastMap<KeyBytes, u64> {
+        let proj = self.compile(spec);
+        let chunk_len = self.rows.len().div_ceil(threads);
+        let locals: Vec<FastMap<KeyBytes, u64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .rows
+                .chunks(chunk_len)
+                .map(|rows| {
+                    let proj = &proj;
+                    scope.spawn(move || {
+                        let mut map = fast_map_with_capacity(Self::capacity_hint(spec, rows.len()));
+                        let mut scratch = KeyBytes::EMPTY;
+                        for (full_key, size) in rows {
+                            proj.project_into(full_key, &mut scratch);
+                            *map.entry(scratch).or_insert(0) += size;
+                        }
+                        map
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| match w.join() {
+                    Ok(map) => map,
+                    // A worker panic is a bug in the scan itself;
+                    // re-raise it with its original payload.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        let mut locals = locals.into_iter();
+        let mut merged = locals.next().unwrap_or_default();
+        for map in locals {
+            for (key, v) in map {
+                *merged.entry(key).or_insert(0) += v;
+            }
+        }
+        merged
     }
 
     /// The computed ancestor `specs[i]` rolls up from: of the earlier
@@ -468,8 +400,8 @@ impl FlowTable {
     }
 
     /// The engine front door: answer every spec, picking rollup where
-    /// the set nests, single-pass aggregation for the rest, and the
-    /// parallel scan when the table is large and CPUs are available.
+    /// the set nests, one scan per remaining spec, and the parallel scan
+    /// when the table is large and CPUs are available.
     /// Always bit-identical to per-spec
     /// [`query_partial`](Self::query_partial).
     pub fn query_all(&self, specs: &[KeySpec]) -> Vec<FastMap<KeyBytes, u64>> {
@@ -688,7 +620,7 @@ mod tests {
     fn non_partial_multi_query_panics() {
         let rows = vec![(KeySpec::SRC_IP.project(&FiveTuple::default()), 1)];
         let t = FlowTable::new(KeySpec::SRC_IP, rows);
-        t.query_multi(&[KeySpec::EMPTY, KeySpec::SRC_DST]);
+        t.query_all(&[KeySpec::EMPTY, KeySpec::SRC_DST]);
     }
 
     #[test]
@@ -711,9 +643,8 @@ mod tests {
             0
         );
         for maps in [
-            t.query_multi(&KeySpec::PAPER_SIX),
             t.query_rollup(&KeySpec::PAPER_SIX),
-            t.query_multi_parallel(&KeySpec::PAPER_SIX, 4),
+            t.query_rollup_threads(&KeySpec::PAPER_SIX, 4),
             t.query_all(&KeySpec::PAPER_SIX),
         ] {
             assert_eq!(maps.len(), 6);
@@ -731,7 +662,7 @@ mod tests {
         specs.push(KeySpec::EMPTY);
         specs.push(KeySpec::src_prefix(9));
         let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
-        assert_eq!(t.query_multi(&specs), expect);
+        assert_eq!(t.query_all(&specs), expect);
     }
 
     #[test]
@@ -807,7 +738,7 @@ mod tests {
         let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
         for threads in [1, 2, 3, 4, 7, 64] {
             assert_eq!(
-                t.query_multi_parallel(&specs, threads),
+                t.query_rollup_threads(&specs, threads),
                 expect,
                 "{threads} threads"
             );
@@ -815,7 +746,7 @@ mod tests {
         // More threads than rows degrades gracefully.
         let tiny = big_table(3);
         let expect: Vec<_> = specs.iter().map(|s| tiny.query_partial(s)).collect();
-        assert_eq!(tiny.query_multi_parallel(&specs, 16), expect);
+        assert_eq!(tiny.query_rollup_threads(&specs, 16), expect);
     }
 
     #[test]

@@ -10,24 +10,25 @@
 //! - [`ring::SpscRing`]: the DPDK-style bounded SPSC ring, with bulk
 //!   [`push_slice`](ring::SpscRing::push_slice)/
 //!   [`pop_chunk`](ring::SpscRing::pop_chunk) so ring atomics amortize
-//!   over packet batches (`ovssim` consumes it from here);
-//! - [`sharded::ShardedEngine`]: the engine proper — partition, ingest
-//!   through the batched sketch hot path, merge via the
-//!   [`sketches::MergeSketch`] contract (any mergeable sketch ingests
-//!   sharded; [`sharded::ShardedCocoSketch`] is the CocoSketch
-//!   instantiation). [`sharded::EngineRun::flow_table`] bridges a
-//!   finished run into the query-plane engine
-//!   ([`cocosketch::FlowTable::query_all`]), whose parallel scan path
-//!   mirrors this crate's scoped-worker shape on the read side;
-//! - [`session::EngineSession`]: the same data plane with an epoch
-//!   lifecycle — [`rotate`](session::EngineSession::rotate) pushes
-//!   in-band seal markers through the rings (exact window boundaries
-//!   without stopping ingestion), workers swap double-buffered shard
-//!   sketches and hand sealed shards through a one-deep
-//!   [`session::SealSlot`], and
-//!   [`collect`](session::EngineSession::collect) merges them off the
-//!   hot path into an [`session::EpochRun`] (persistable as a
-//!   [`cocosketch::Epoch`]).
+//!   over packet batches;
+//! - [`session::EngineSession`]: the one producer→ring→shard→merge
+//!   runtime, with an epoch lifecycle —
+//!   [`rotate`](session::EngineSession::rotate) pushes in-band seal
+//!   markers through the rings (exact window boundaries without
+//!   stopping ingestion), workers swap double-buffered shard sketches
+//!   and hand sealed shards through a one-deep [`session::SealSlot`],
+//!   and [`collect`](session::EngineSession::collect) merges them off
+//!   the hot path into an [`session::EpochRun`] (persistable as a
+//!   [`cocosketch::Epoch`]). A worker panic is re-raised on the
+//!   producer from whichever wait it is in, never turned into a hang;
+//! - [`sharded::ShardedEngine`]: the engine's configuration, RSS shard
+//!   selection and shard factory over the [`sketches::MergeSketch`]
+//!   contract (any mergeable sketch ingests sharded;
+//!   [`sharded::ShardedCocoSketch`] is the CocoSketch instantiation).
+//!   Its one-shot [`run`](sharded::ShardedEngine::run) is a session
+//!   sealed once (a single shard runs inline on the caller's thread),
+//!   and [`sharded::EngineRun::flow_table`] bridges a finished run into
+//!   the query plane ([`cocosketch::FlowTable::query_all`]);
 //!
 //! - [`affinity`]: shard-to-core pinning — a libc-free, SAFETY-audited
 //!   `sched_setaffinity(2)` wrapper (Linux x86-64; no-op elsewhere)

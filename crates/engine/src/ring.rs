@@ -1,9 +1,9 @@
 //! A lock-free single-producer single-consumer ring buffer.
 //!
 //! The shared-memory channel between an ingestion thread and a sketch
-//! worker (and, downstream, between the simulated OVS datapath and its
-//! measurement threads — `ovssim` re-exports this module): fixed
-//! power-of-two capacity, cache-line-padded head/tail indices so
+//! worker — the per-queue ring of the paper's OVS deployment, drained
+//! by [`crate::EngineSession`]'s shard workers: fixed power-of-two
+//! capacity, cache-line-padded head/tail indices so
 //! producer and consumer never false-share, and wait-free operations
 //! (each fails rather than blocks when full/empty — the
 //! poll-mode-driver discipline).

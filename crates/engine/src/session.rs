@@ -1,11 +1,11 @@
 //! The continuously-running ingestion session and its rotation
 //! protocol.
 //!
-//! [`crate::ShardedEngine::run`] is one-shot: ingest a whole trace,
-//! join the workers, merge. A production deployment never stops — it
-//! measures in *epochs*: while epoch `N+1` streams in, epoch `N` is
-//! sealed, merged off the hot path, and queried. [`EngineSession`] is
-//! that lifecycle over the same rings and shard factory:
+//! This is the engine's one producer→ring→shard→merge runtime. A
+//! production deployment never stops — it measures in *epochs*: while
+//! epoch `N+1` streams in, epoch `N` is sealed, merged off the hot
+//! path, and queried. [`EngineSession`] is that lifecycle, and the
+//! one-shot [`crate::ShardedEngine::run`] is a session sealed once:
 //!
 //! - every worker owns **two** sketch buffers — the *active* one being
 //!   updated and a pre-built *spare*;
@@ -26,6 +26,10 @@
 //! still-occupied seal slot makes the worker wait for the collector
 //! (bounded by one epoch — rotation faster than collection is a caller
 //! pacing bug), and both waits yield so oversubscribed hosts progress.
+//! Every producer-side wait also checks that the worker it waits on is
+//! still running: a worker that panicked is joined and its panic
+//! re-raised on the producer, so a shard bug surfaces instead of
+//! hanging ingestion.
 
 use crate::ring::SpscRing;
 use crate::sharded::{EngineConfig, ShardedEngine};
@@ -212,10 +216,9 @@ impl<S: MergeSketch> EpochRun<S> {
 
 /// A continuously-running sharded ingestion session (see module docs).
 ///
-/// Built from the same config and shard factory as
-/// [`ShardedEngine::run`]; the difference is lifecycle: `run` is one
-/// epoch with a join at the end, a session rotates epochs out of a
-/// never-stopping stream.
+/// Built from an engine's config and shard factory. A session rotates
+/// epochs out of a never-stopping stream; [`ShardedEngine::run`] is a
+/// session with one push and a [`finish`](Self::finish).
 pub struct EngineSession<S: MergeSketch + 'static> {
     config: EngineConfig,
     rings: Vec<Arc<SpscRing<Cmd>>>,
@@ -323,16 +326,33 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
     }
 
     fn flush(&mut self, shard: usize) {
-        let stage = &mut self.stages[shard]; // LINT: bounded(callers pass shard = shard_of() < threads)
         let mut sent = 0usize;
-        while sent < stage.len() {
-            let pushed = self.rings[shard].push_slice(&stage[sent..]); // LINT: bounded(shard < threads = rings.len(); sent < stage.len() loop condition)
+        // LINT: bounded(callers pass shard = shard_of() < threads = stages.len())
+        while sent < self.stages[shard].len() {
+            let pushed = self.rings[shard].push_slice(&self.stages[shard][sent..]); // LINT: bounded(shard < threads = rings.len() = stages.len(); sent < stage len loop condition)
             if pushed == 0 {
-                std::thread::yield_now();
+                self.wait_on(shard);
             }
             sent += pushed;
         }
-        stage.clear();
+        self.stages[shard].clear(); // LINT: bounded(same shard < threads bound)
+    }
+
+    /// One round of waiting on worker `shard` — its ring is full, or its
+    /// sealed shard has not arrived: yield, unless the worker has
+    /// already exited. Workers return only after [`finish`](Self::finish)
+    /// sets `done`, so an early exit is a panic; re-raise its payload,
+    /// as `finish` does, instead of waiting forever on a consumer that
+    /// is gone.
+    fn wait_on(&mut self, shard: usize) {
+        // LINT: bounded(callers pass shard < threads = workers.len(); finish/Drop are the only drains)
+        if self.workers[shard].is_finished() {
+            if let Err(payload) = self.workers.swap_remove(shard).join() {
+                std::panic::resume_unwind(payload);
+            }
+            hashkit::invariant::violated("shard workers run until the session finishes");
+        }
+        std::thread::yield_now();
     }
 
     /// Seal the current epoch *without stopping ingestion*: flush the
@@ -353,9 +373,10 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
         for shard in 0..self.config.threads {
             self.flush(shard);
         }
-        for ring in &self.rings {
-            while ring.push(Cmd::Seal).is_err() {
-                std::thread::yield_now();
+        for shard in 0..self.config.threads {
+            // LINT: bounded(shard < threads = rings.len())
+            while self.rings[shard].push(Cmd::Seal).is_err() {
+                self.wait_on(shard);
             }
         }
         let id = self.next_epoch;
@@ -373,8 +394,14 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
         let mut per_shard = Vec::with_capacity(self.config.threads);
         let mut packets = 0u64;
         let mut weight = 0u64;
-        for slot in &self.slots {
-            let (sketch, shard_packets, shard_weight) = slot.take();
+        for shard in 0..self.config.threads {
+            let (sketch, shard_packets, shard_weight) = loop {
+                // LINT: bounded(shard < threads = slots.len())
+                match self.slots[shard].try_take() {
+                    Some(sealed) => break sealed,
+                    None => self.wait_on(shard),
+                }
+            };
             shards.push(sketch);
             per_shard.push(shard_packets);
             packets += shard_packets;
@@ -593,22 +620,29 @@ mod tests {
     #[test]
     fn epoch_matches_one_shot_run_bit_for_bit() {
         // A single sealed epoch must be indistinguishable from the
-        // one-shot engine over the same packets.
-        let cfg = EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        };
+        // one-shot engine over the same packets — at one thread, where
+        // `run` takes the inline single-shard path, and beyond.
         let pkts = packets(20_000, 2);
-        let one_shot = ShardedEngine::<BasicCocoSketch>::new(cfg).run(&pkts);
-        let mut session = EngineSession::coco(cfg);
-        session.push_batch(&pkts);
-        let epoch = session.rotate_collect();
-        session.finish();
-        let mut a = one_shot.sketch.records();
-        let mut b = epoch.sketch.records();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "rotation must not perturb single-epoch results");
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            };
+            let one_shot = ShardedEngine::<BasicCocoSketch>::new(cfg).run(&pkts);
+            let mut session = EngineSession::coco(cfg);
+            session.push_batch(&pkts);
+            let epoch = session.rotate_collect();
+            session.finish();
+            assert_eq!(one_shot.per_shard, epoch.per_shard, "{threads} threads");
+            let mut a = one_shot.sketch.records();
+            let mut b = epoch.sketch.records();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(
+                a, b,
+                "rotation must not perturb results at {threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -728,5 +762,104 @@ mod tests {
         session.push_batch(&packets(1_000, 8));
         let _pending = session.rotate();
         drop(session); // uncollected epoch: Drop must still join
+    }
+
+    /// A shard that panics once it has seen `k` packets: a stand-in for
+    /// a bug in a shard's update path.
+    struct PanicAt {
+        k: u64,
+        seen: u64,
+        inner: CmHeap,
+    }
+
+    impl Sketch for PanicAt {
+        fn update(&mut self, key: &KeyBytes, w: u64) {
+            self.update_batch(&[(*key, w)]);
+        }
+        fn update_batch(&mut self, batch: &[(KeyBytes, u64)]) {
+            self.seen += batch.len() as u64;
+            assert!(
+                self.seen < self.k,
+                "injected shard fault at packet {}",
+                self.k
+            );
+            self.inner.update_batch(batch);
+        }
+        fn query(&self, key: &KeyBytes) -> u64 {
+            self.inner.query(key)
+        }
+        fn records(&self) -> Vec<(KeyBytes, u64)> {
+            self.inner.records()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn name(&self) -> &'static str {
+            "panic-at"
+        }
+    }
+
+    impl MergeSketch for PanicAt {
+        fn merge_shard(&mut self, other: Self) -> Result<(), sketches::MergeIncompat> {
+            self.inner.merge_shard(other.inner)
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_instead_of_hanging() {
+        // A worker that dies stops draining its ring; the producer must
+        // re-raise the worker's panic from whichever wait it is in —
+        // ring full (flush, rotate) or sealed shard missing (collect) —
+        // instead of yielding forever. The session runs on a helper
+        // thread behind a watchdog so a hang fails the test.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let key_bytes = KeySpec::FIVE_TUPLE.key_bytes();
+        // (threads, packets, rotate before finish): a long push blocks
+        // in flush on the dead worker's full ring; a short one fits in
+        // the ring and blocks in collect on the missing sealed shard.
+        for (threads, n, rotate) in [(2, 50_000, false), (1, 120, true)] {
+            let (tx, rx) = mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let cfg = EngineConfig {
+                    threads,
+                    ring_capacity: 64,
+                    batch: 16,
+                    ..EngineConfig::default()
+                };
+                let eng = ShardedEngine::with_factory(cfg, move || PanicAt {
+                    k: 100,
+                    seen: 0,
+                    inner: CmHeap::with_memory(16 * 1024, key_bytes, 0xC0C0),
+                });
+                let pkts = packets(n, 9);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut session = eng.session();
+                    session.push_batch(&pkts);
+                    if rotate {
+                        session.rotate_collect();
+                    }
+                    session.finish();
+                }));
+                let message = match outcome {
+                    Ok(()) => String::from("session completed"),
+                    Err(payload) => payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_else(|| String::from("non-string panic")),
+                };
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| {
+                    panic!("session hung on a panicked worker ({threads} threads, {n} packets)")
+                });
+            helper.join().expect("the helper exits after reporting");
+            assert!(
+                message.contains("injected shard fault at packet 100"),
+                "worker panic not re-raised ({threads} threads, {n} packets): {message}"
+            );
+        }
     }
 }

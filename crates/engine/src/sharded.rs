@@ -8,7 +8,9 @@
 //! workers through a private lock-free SPSC ring in batches, and each
 //! worker drains its ring into a private sketch shard via the batched
 //! hot path. At the end the shards fold into one queryable sketch via
-//! [`MergeSketch::merge_shard`].
+//! [`MergeSketch::merge_shard`]. The threads, rings and merge are the
+//! [`crate::EngineSession`] runtime: a one-shot [`ShardedEngine::run`]
+//! is a session sealed once.
 //!
 //! [`ShardedEngine`] is generic over the shard type: any sketch
 //! implementing the merge contract ingests sharded — CocoSketch with
@@ -29,11 +31,9 @@
 //! fixed `(trace, config)` the merged sketch is bit-identical across
 //! runs regardless of thread scheduling.
 
-use crate::ring::SpscRing;
 use cocosketch::{BasicCocoSketch, FlowTable};
 use hashkit::{bob_hash, fastrange};
 use sketches::MergeSketch;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use traffic::{KeyBytes, KeySpec, Trace};
@@ -53,7 +53,7 @@ pub struct EngineConfig {
     /// Ring capacity per worker, in packets (power of two).
     pub ring_capacity: usize,
     /// Producer-side staging batch per shard; flushed through
-    /// [`SpscRing::push_slice`] so ring atomics amortize over the batch.
+    /// [`crate::SpscRing::push_slice`] so ring atomics amortize over the batch.
     pub batch: usize,
     /// Sketch arrays per shard.
     pub d: usize,
@@ -98,7 +98,10 @@ pub struct EngineRun<S = BasicCocoSketch> {
     pub processed: u64,
     /// Per-shard processed counts, for load-balance diagnostics.
     pub per_shard: Vec<u64>,
-    /// Wall time of the ingest (excludes the final merge).
+    /// Wall time of the run. With more than one thread it spans worker
+    /// start-up, ingest and the final merge; the single-shard run times
+    /// the ingest alone (its one-shard "merge" is only the
+    /// conservation check).
     pub elapsed: Duration,
     /// Wall-clock ingest rate in million packets per second.
     pub mpps: f64,
@@ -198,6 +201,10 @@ impl<S: MergeSketch + 'static> ShardedEngine<S> {
     }
 
     /// Ingest pre-projected packets and return the merged sketch.
+    ///
+    /// With more than one thread this is an [`crate::EngineSession`]
+    /// sealed once: the one-shot run and the rotating session share a
+    /// single producer→ring→shard→merge runtime.
     pub fn run(&self, packets: &[(KeyBytes, u64)]) -> EngineRun<S> {
         let cfg = self.config;
         if cfg.threads == 1 {
@@ -224,109 +231,17 @@ impl<S: MergeSketch + 'static> ShardedEngine<S> {
             };
         }
 
-        let rings: Vec<SpscRing<(KeyBytes, u64)>> = (0..cfg.threads)
-            .map(|_| SpscRing::new(cfg.ring_capacity))
-            .collect();
-        let done = AtomicBool::new(false);
-
         let start = Instant::now();
-        let (shards, per_shard, weight) = std::thread::scope(|scope| {
-            let workers: Vec<_> = rings
-                .iter()
-                .enumerate()
-                .map(|(idx, ring)| {
-                    let done = &done;
-                    let factory = self.factory();
-                    scope.spawn(move || {
-                        // Pin first, then build the shard *on the
-                        // worker*: first-touch allocation places the
-                        // bucket lines on the pinned core's NUMA node.
-                        // Best-effort — a refused pin (cpuset) just
-                        // runs this worker unpinned.
-                        if cfg.pin {
-                            let _ = crate::affinity::pin_current_thread(
-                                crate::affinity::core_for_shard(idx),
-                            );
-                        }
-                        let mut sketch = factory();
-                        let mut chunk: Vec<(KeyBytes, u64)> = Vec::with_capacity(cfg.batch);
-                        let mut processed = 0u64;
-                        let mut weight = 0u64;
-                        loop {
-                            chunk.clear();
-                            if ring.pop_chunk(&mut chunk, cfg.batch) > 0 {
-                                sketch.update_batch(&chunk);
-                                processed += chunk.len() as u64;
-                                weight += chunk.iter().map(|&(_, w)| w).sum::<u64>();
-                            } else if done.load(Ordering::Acquire) && ring.is_empty() {
-                                break;
-                            } else {
-                                // PMD discipline is busy-polling; yield
-                                // so oversubscribed hosts still make
-                                // progress.
-                                std::thread::yield_now();
-                            }
-                        }
-                        (sketch, processed, weight)
-                    })
-                })
-                .collect();
-
-            // Producer: stage per shard, flush full batches through
-            // push_slice so one atomic pair covers the whole batch.
-            let mut stages: Vec<Vec<(KeyBytes, u64)>> = (0..cfg.threads)
-                .map(|_| Vec::with_capacity(cfg.batch))
-                .collect();
-            let flush = |shard: usize, stage: &mut Vec<(KeyBytes, u64)>| {
-                let mut sent = 0usize;
-                while sent < stage.len() {
-                    let pushed = rings[shard].push_slice(&stage[sent..]); // LINT: bounded(shard < threads = rings.len(); sent < stage.len() loop condition)
-                    if pushed == 0 {
-                        std::thread::yield_now();
-                    }
-                    sent += pushed;
-                }
-                stage.clear();
-            };
-            for p in packets {
-                let shard = Self::shard_of(&p.0, cfg.threads);
-                stages[shard].push(*p); // LINT: bounded(shard_of() < threads = stages.len())
-                                        // LINT: bounded(same shard_of() bound)
-                if stages[shard].len() == cfg.batch {
-                    flush(shard, &mut stages[shard]); // LINT: bounded(same shard_of() bound)
-                }
-            }
-            for (shard, stage) in stages.iter_mut().enumerate() {
-                flush(shard, stage);
-            }
-            done.store(true, Ordering::Release);
-
-            let mut shards = Vec::with_capacity(cfg.threads);
-            let mut per_shard = Vec::with_capacity(cfg.threads);
-            let mut weight = 0u64;
-            for w in workers {
-                let (sketch, processed, shard_weight) = match w.join() {
-                    Ok(result) => result,
-                    // A worker panic is a bug in the shard update path
-                    // itself; re-raise it with its original payload.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                shards.push(sketch);
-                per_shard.push(processed);
-                weight += shard_weight;
-            }
-            (shards, per_shard, weight)
-        });
+        let mut session = self.session();
+        session.push_batch(packets);
+        let epoch = session.finish();
         let elapsed = start.elapsed();
-
-        let processed: u64 = per_shard.iter().sum();
-        let sketch = merge_shards(shards, weight);
         EngineRun {
-            sketch,
-            processed,
-            per_shard,
+            sketch: epoch.sketch,
+            processed: epoch.packets,
+            per_shard: epoch.per_shard,
             elapsed,
-            mpps: processed as f64 / elapsed.as_secs_f64().max(1e-12) / 1e6,
+            mpps: epoch.packets as f64 / elapsed.as_secs_f64().max(1e-12) / 1e6,
         }
     }
 
@@ -550,5 +465,14 @@ mod tests {
         ra.sort_unstable();
         rb.sort_unstable();
         assert_eq!(ra, rb);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker thread")]
+    fn zero_threads_rejected() {
+        ShardedCocoSketch::new(EngineConfig {
+            threads: 0,
+            ..EngineConfig::default()
+        });
     }
 }

@@ -145,7 +145,7 @@ fn drop_non_empty_ring_after_handoff() {
     });
 }
 
-/// The sharded-merge shutdown handoff (`engine::sharded`): the
+/// The session shutdown handoff (`engine::session`, `finish`): the
 /// producer flushes its staging buffer into the ring and then sets
 /// `done` with Release; a worker that observes `done` with Acquire and
 /// drains once more must see *every* item — the protocol's guarantee
@@ -168,7 +168,7 @@ fn sharded_handoff_drains_everything() {
             }
             d2.store(true, Ordering::Release);
         });
-        // The worker loop from `sharded::run`, in miniature.
+        // The worker loop from `session::worker_loop`, in miniature.
         let mut got = Vec::new();
         loop {
             let drained = ring.pop_chunk(&mut got, 8);

@@ -1,25 +1,17 @@
-//! Software-switch datapath simulation (the OVS deployment, §6/App. B).
+//! The software-switch testbed model (the OVS deployment, §6/App. B).
 //!
 //! The paper integrates CocoSketch into Open vSwitch via DPDK: the
-//! datapath writes packet headers into shared-memory *ring buffers*,
-//! and dedicated measurement threads poll those rings, each updating
-//! its own sketch shard (one Rx queue per thread, pinned PMD-style).
-//!
-//! This crate builds that architecture for real — lock-free SPSC rings
-//! (consumed from the [`engine`] crate, re-exported as [`ring`]), a
-//! producer thread distributing packets RSS-style, polling consumer
-//! threads owning [`cocosketch`] shards, and a final shard merge — and
-//! models only what cannot exist on a dev box: the 40 GbE NIC line
-//! rate, as a throughput cap ([`nic`]).
+//! datapath writes packet headers into shared-memory ring buffers, and
+//! dedicated measurement threads poll those rings, each updating its
+//! own sketch shard. That architecture is the `engine` crate's
+//! `EngineSession` — RSS partition, SPSC rings, polling shard workers,
+//! merge — and Figure 15a runs it directly. This crate models only what
+//! cannot exist on a dev box: the 40 GbE NIC line rate, as a throughput
+//! cap ([`nic`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod datapath;
 pub mod nic;
 
-pub use engine::ring;
-
-pub use datapath::{OvsConfig, OvsRun, OvsSim};
-pub use engine::SpscRing;
 pub use nic::NicModel;

@@ -1,9 +1,10 @@
 //! NIC line-rate model.
 //!
 //! The one piece of the OVS testbed a dev box cannot provide: the
-//! 40 GbE ConnectX-3 the paper's generator saturates. Throughput
-//! reported by the datapath simulation is capped at the line rate for
-//! the configured packet size — which is what produces Figure 15a's
+//! 40 GbE ConnectX-3 the paper's generator saturates. The Figure 15a
+//! model — measured per-thread capacity × threads — is capped at the
+//! line rate for the configured packet size
+//! ([`NicModel::cap_mpps`]), which is what produces the figure's
 //! plateau at two or more threads.
 
 /// A fixed-line-rate NIC.
@@ -61,6 +62,16 @@ mod tests {
         let nic = NicModel::forty_gbe();
         assert_eq!(nic.cap_mpps(5.0), 5.0);
         assert!(nic.cap_mpps(100.0) < 15.0);
+    }
+
+    #[test]
+    fn model_caps_at_nic() {
+        // The Figure 15a model: per-thread capacity x threads, capped.
+        let nic = NicModel::forty_gbe();
+        assert_eq!(nic.cap_mpps(5.0 * 1.0), 5.0);
+        assert_eq!(nic.cap_mpps(5.0 * 2.0), 10.0);
+        let capped = nic.cap_mpps(8.0 * 4.0);
+        assert!(capped < 15.0, "32 offered, capped at line rate: {capped}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 #   throughput    results/BENCH_throughput.json  gate: single_shard_batched_mpps
 #   query_latency results/BENCH_query.json       gate: rollup_speedup
 #   qps           results/BENCH_qps.json         gate: single_reader_qps
-#   storage       results/BENCH_storage.json     gate: rollup_cache_speedup
+#   storage       results/BENCH_storage.json     compare only
 #
-# For each, prints old -> new with the ratio and exits 1 if the gated
+# For each, prints old -> new with the ratio and exits 1 if a gated
 # metric's ratio falls below BENCH_MIN_RATIO (default 1.0, i.e. "no
 # regression"; CI may set it higher to enforce a speedup). The gated
 # metrics are chosen to be the perf-trajectory numbers: single-shard
@@ -102,8 +102,6 @@ TBASE=baselines/BENCH_storage.json
 if [ -f "$TNEW" ] && [ -f "$TBASE" ]; then
     compare "$TNEW" "$TBASE" seal_append_us_mean
     compare "$TNEW" "$TBASE" scan_mb_per_s
-    compare "$TNEW" "$TBASE" rollup_cache_speedup
-    gate "$TNEW" "$TBASE" rollup_cache_speedup
 else
     echo "bench_compare: storage skipped (need $TNEW and $TBASE)"
 fi

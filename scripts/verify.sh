@@ -35,6 +35,14 @@ gate_begin "cargo test -q"
 cargo test -q
 gate_end "test"
 
+# The end-to-end benchmark (e2ebench/) is a package of its own outside
+# the root workspace, so `cargo test` above never compiles it; it
+# drives the engine, storage and serve public APIs, so an API change
+# that breaks it fails here instead of in the next benchmark run.
+gate_begin "cargo test --manifest-path e2ebench/Cargo.toml (e2e benchmark)"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+gate_end "e2e-test"
+
 # The durable epoch tier's crash-recovery contract (torn tails
 # quarantine at every truncation boundary, adoption heals the
 # rename/manifest crash window, spill round-trips bit-identically) is

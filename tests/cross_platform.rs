@@ -1,11 +1,12 @@
 //! Cross-platform consistency: the three CocoSketch variants, the
-//! hardware models, and the OVS datapath must tell one coherent story.
+//! hardware models, and the sharded OVS-style datapath must tell one
+//! coherent story.
 
 use cocosketch::Variant;
+use engine::{EngineConfig, ShardedCocoSketch};
 use hwsim::fpga::{synthesize, FpgaConfig};
 use hwsim::program::library;
 use hwsim::rmt::{place, PlaceError, RmtConfig};
-use ovssim::{OvsConfig, OvsSim};
 use sketches::Sketch;
 use tasks::{heavy_hitter, Algo};
 use traffic::gen::{generate, TraceConfig};
@@ -89,12 +90,14 @@ fn sharded_datapath_matches_single_sketch_accuracy() {
     // sketch on the top flows.
     let t = trace();
     let full = KeySpec::FIVE_TUPLE;
-    let run = OvsSim::new(OvsConfig {
-        threads: 4,
-        mem_bytes: 256 * 1024,
-        ..OvsConfig::default()
-    })
-    .run(&t);
+    let run = ShardedCocoSketch::with_memory(
+        256 * 1024,
+        EngineConfig {
+            threads: 4,
+            ..EngineConfig::default()
+        },
+    )
+    .run_trace(&t, &full);
 
     let mut single = cocosketch::BasicCocoSketch::with_memory(256 * 1024, 2, full.key_bytes(), 1);
     for p in &t.packets {
@@ -105,7 +108,7 @@ fn sharded_datapath_matches_single_sketch_accuracy() {
     let mut top: Vec<_> = exact.iter().collect();
     top.sort_unstable_by_key(|&(_, v)| std::cmp::Reverse(*v));
     for (key, &true_size) in top.iter().take(20) {
-        let sharded = run.merged.get(*key).copied().unwrap_or(0) as f64;
+        let sharded = run.sketch.query(key) as f64;
         let single_est = single.query(key) as f64;
         let err_sharded = (sharded - true_size as f64).abs() / true_size as f64;
         let err_single = (single_est - true_size as f64).abs() / true_size as f64;

@@ -160,10 +160,10 @@ proptest! {
 
     #[test]
     fn query_engine_paths_bit_identical(stream in arb_stream(), threads in 1usize..5, seed in any::<u64>()) {
-        // Every query-plane path — single-pass multi-spec, parallel
-        // scan, and the engine front door — must agree exactly (not
-        // approximately) with one query_partial scan per spec, spec
-        // list including the empty key.
+        // Every query-plane path — the chunked parallel scan and the
+        // engine front door — must agree exactly (not approximately)
+        // with one query_partial scan per spec, spec list including the
+        // empty key.
         let full = KeySpec::FIVE_TUPLE;
         let mut s = BasicCocoSketch::new(2, 16, full.key_bytes(), seed);
         for (flow, w) in &stream {
@@ -173,8 +173,7 @@ proptest! {
         let mut specs = KeySpec::PAPER_SIX.to_vec();
         specs.push(KeySpec::EMPTY);
         let base: Vec<_> = specs.iter().map(|sp| table.query_partial(sp)).collect();
-        prop_assert_eq!(&table.query_multi(&specs), &base, "single-pass");
-        prop_assert_eq!(&table.query_multi_parallel(&specs, threads), &base, "parallel scan");
+        prop_assert_eq!(&table.query_rollup_threads(&specs, threads), &base, "parallel scan");
         prop_assert_eq!(&table.query_all(&specs), &base, "engine");
     }
 
@@ -270,8 +269,7 @@ fn query_engine_paths_on_empty_table() {
     specs.push(KeySpec::EMPTY);
     let base: Vec<_> = specs.iter().map(|sp| table.query_partial(sp)).collect();
     assert!(base.iter().all(|m| m.is_empty()));
-    assert_eq!(table.query_multi(&specs), base);
-    assert_eq!(table.query_multi_parallel(&specs, 4), base);
+    assert_eq!(table.query_rollup_threads(&specs, 4), base);
     assert_eq!(table.query_all(&specs), base);
     let hierarchy = hhh::hierarchy::src_hierarchy();
     let empty_h: Vec<_> = hierarchy.iter().map(|sp| table.query_partial(sp)).collect();
