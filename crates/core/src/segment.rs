@@ -61,12 +61,31 @@
 //! [`spawn_compactor`] runs the same sweep on a background thread,
 //! event-driven (nudged per seal over a channel — no clocks, so the
 //! data plane stays deterministic).
+//!
+//! Each bucket is made in three steps, the split LevelDB uses for its
+//! own compactions:
+//!
+//! 1. **plan** — pick the first aligned run of `bucket` single-epoch
+//!    segments at or below the horizon and copy their metas;
+//! 2. **build** — read and validate the members, merge them, and write
+//!    the bucket file (temp, fsync, rename);
+//! 3. **commit** — check the members are still listed contiguously,
+//!    splice the bucket in, replace the manifest, and only then delete
+//!    the inputs.
+//!
+//! Build touches no directory state: segments are immutable and
+//! appends only extend the tail past the horizon. So
+//! [`SharedEpochDir::compact`] holds the directory lock for plan and
+//! commit alone, and the seal path's `append`/`covers` never wait on a
+//! merge. [`EpochDir::compact`] runs the same three helpers inline,
+//! with the same filesystem op order.
 
 use crate::epoch::{self, Epoch, SpillSink};
 use crate::query::FlowTable;
 use crate::vfs::{StdFs, Vfs, VfsFile as _};
 use hashkit::{invariant, FastMap};
 use std::io;
+use std::ops::DerefMut;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -255,6 +274,9 @@ pub struct EpochDir<V: Vfs = StdFs> {
     fs: V,
     root: PathBuf,
     segments: Vec<SegmentMeta>,
+    /// Set while a [`SharedEpochDir::compact`] sweep builds buckets
+    /// outside the lock, so at most one sweep runs at a time.
+    sweeping: bool,
 }
 
 impl EpochDir {
@@ -393,7 +415,12 @@ impl<V: Vfs> EpochDir<V> {
             }
         }
 
-        let dir = EpochDir { fs, root, segments };
+        let dir = EpochDir {
+            fs,
+            root,
+            segments,
+            sweeping: false,
+        };
         if dir.segments != listed {
             dir.write_manifest()?;
         }
@@ -554,52 +581,27 @@ impl<V: Vfs> EpochDir<V> {
     /// asserted: the merged tables' totals equal the inputs' exactly.
     pub fn compact(&mut self, policy: &CompactionPolicy) -> io::Result<CompactReport> {
         let mut report = CompactReport::default();
-        if policy.bucket < 2 {
-            return Ok(report);
-        }
-        let Some((_, newest)) = self.ids() else {
-            return Ok(report);
-        };
-        let Some(horizon) = newest.checked_sub(policy.keep_recent) else {
-            return Ok(report);
-        };
-        while let Some(start) = self.bucket_run(policy.bucket, horizon) {
-            let members: Vec<SegmentMeta> = self
-                .segments
-                .iter()
-                .skip(start)
-                .take(policy.bucket)
-                .copied()
-                .collect();
-            let inputs: Vec<Epoch> = members
-                .iter()
-                .map(|meta| read_segment(&self.fs, &self.root, meta))
-                .collect::<io::Result<_>>()?;
-            let merged = merge_epochs(&inputs)?;
-            let data = epoch::encode(&merged);
-            let meta = SegmentMeta {
-                first: merged.id,
-                last: members
-                    .last()
-                    .map(|m| m.last)
-                    .unwrap_or_else(|| invariant::violated("bucket run is non-empty")),
-                bytes: data.len() as u64,
-                sum: sum64(&data),
-            };
-            write_file_atomic(&self.fs, &self.root, &meta.file_name(), &data)?;
-            self.segments
-                .splice(start..start + policy.bucket, std::iter::once(meta));
-            self.write_manifest()?;
-            // The manifest no longer names the inputs; deleting them
-            // is pure GC (a crash here leaves orphans that the next
-            // open removes the same way).
-            for member in &members {
-                self.fs.remove_file(&self.root.join(member.file_name()))?;
-            }
+        while let Some(members) = self.plan_bucket(policy) {
+            let bucket = build_bucket(&self.fs, &self.root, &members)?;
+            commit_bucket(&mut *self, &members, bucket)?;
             report.buckets += 1;
-            report.merged_epochs += policy.bucket;
+            report.merged_epochs += members.len();
         }
         Ok(report)
+    }
+
+    /// The plan step: the metas of the first run of `policy.bucket`
+    /// single-epoch segments at or below the horizon (the newest id
+    /// minus `policy.keep_recent`), or `None` when no run is due.
+    fn plan_bucket(&self, policy: &CompactionPolicy) -> Option<Vec<SegmentMeta>> {
+        if policy.bucket < 2 {
+            return None;
+        }
+        let horizon = self.ids()?.1.checked_sub(policy.keep_recent)?;
+        let start = self.bucket_run(policy.bucket, horizon)?;
+        self.segments
+            .get(start..start + policy.bucket)
+            .map(<[SegmentMeta]>::to_vec)
     }
 
     /// Index of the first run of `bucket` consecutive single-epoch
@@ -682,6 +684,66 @@ fn read_segment<V: Vfs>(fs: &V, root: &Path, meta: &SegmentMeta) -> io::Result<E
         )));
     }
     Ok(decoded)
+}
+
+/// The build step: read and validate the `members` planned by
+/// [`EpochDir::plan_bucket`], merge them ([`merge_epochs`] asserts
+/// conservation), and write the bucket file (temp, fsync, rename).
+/// It reads no directory state, so [`SharedEpochDir::compact`] runs it
+/// without the lock. The returned meta is not listed anywhere until
+/// [`commit_bucket`] splices it in; a crash before then leaves a file
+/// whose ids the manifest covers, which reopen garbage-collects.
+fn build_bucket<V: Vfs>(fs: &V, root: &Path, members: &[SegmentMeta]) -> io::Result<SegmentMeta> {
+    let inputs: Vec<Epoch> = members
+        .iter()
+        .map(|meta| read_segment(fs, root, meta))
+        .collect::<io::Result<_>>()?;
+    let merged = merge_epochs(&inputs)?;
+    let data = epoch::encode(&merged);
+    let meta = SegmentMeta {
+        first: merged.id,
+        last: members
+            .last()
+            .map(|m| m.last)
+            .unwrap_or_else(|| invariant::violated("bucket run is non-empty")),
+        bytes: data.len() as u64,
+        sum: sum64(&data),
+    };
+    write_file_atomic(fs, root, &meta.file_name(), &data)?;
+    Ok(meta)
+}
+
+/// The commit step: check that `members` are still listed
+/// contiguously, splice `bucket` in their place, and replace the
+/// manifest. Then `dir` is dropped — releasing the lock when it is
+/// [`SharedEpochDir`]'s guard — before the inputs are deleted: the
+/// manifest no longer names them, so deletion is pure GC (a crash
+/// mid-way leaves orphans that the next open removes the same way).
+fn commit_bucket<V: Vfs>(
+    mut dir: impl DerefMut<Target = EpochDir<V>>,
+    members: &[SegmentMeta],
+    bucket: SegmentMeta,
+) -> io::Result<()> {
+    let start = dir
+        .segments
+        .iter()
+        .position(|meta| members.first() == Some(meta))
+        .filter(|&start| dir.segments.get(start..start + members.len()) == Some(members))
+        .ok_or_else(|| {
+            data_err(format!(
+                "bucket {}..={}: its members are no longer listed contiguously",
+                bucket.first, bucket.last
+            ))
+        })?;
+    dir.segments
+        .splice(start..start + members.len(), std::iter::once(bucket));
+    dir.write_manifest()?;
+    let (fs, root) = (dir.fs.clone(), dir.root.clone());
+    drop(dir);
+    for member in members {
+        fs.remove_file(&root.join(member.file_name()))?;
+    }
+    Ok(())
 }
 
 /// Compaction policy: which epochs may merge, and how many per bucket.
@@ -782,18 +844,30 @@ impl<V: Vfs> SpillSink for EpochDir<V> {
 /// appends while a background [`Compactor`] merges, both through the
 /// same directory state.
 ///
+/// # Which steps hold the lock
+///
+/// `append`, `covers`, `ids` and the other accessors run under the
+/// lock, as does each compaction bucket's *plan* (choose the run) and
+/// *commit* (splice, manifest). A bucket's *build* — member reads,
+/// merge, encode, the bucket file's write, fsync and rename — and the
+/// deletion of its inputs run with no guard live, so sealing never
+/// waits on a merge. A `sweeping` flag under the same lock keeps
+/// builds to one at a time.
+///
 /// # Poisoning policy: recover, never abort, never propagate
 ///
 /// The internal `lock` helper strips [`PoisonError`], so a peer that
 /// panicked while holding the guard cannot deadlock or poison the
 /// seal/spill path. Recovery (rather than abort) is sound because
-/// every mutation runs disk-first: `append` and `compact` commit the
-/// segment file and manifest *before* touching the in-memory segment
-/// list, so a panic can only leave the in-memory list *behind* the
-/// disk — states the next `write_manifest` or reopen's adoption/GC
-/// already handle (verified schedule-by-schedule by `crashsim`). The
-/// in-memory list never runs ahead of a committed file, so no torn
-/// in-memory state can be published to disk by the surviving side.
+/// every mutation runs disk-first: `append` and a compaction commit
+/// write the segment file *before* listing it in the in-memory segment
+/// list, and a bucket's inputs are deleted only after the manifest
+/// stops naming them, so a panic leaves at most in-memory state the
+/// next `write_manifest` or reopen's adoption/GC already handles
+/// (verified schedule-by-schedule by `crashsim`). No listed segment
+/// lacks its committed file, so no torn in-memory state can be
+/// published to disk by the surviving side. A panic in a build holds
+/// no guard at all; it clears the `sweeping` flag as it unwinds.
 #[derive(Debug, Clone)]
 pub struct SharedEpochDir<V: Vfs = StdFs> {
     inner: Arc<Mutex<EpochDir<V>>>,
@@ -852,9 +926,37 @@ impl<V: Vfs> SharedEpochDir<V> {
         self.lock().covers(id)
     }
 
-    /// [`EpochDir::compact`] under the lock.
+    /// [`EpochDir::compact`], holding the lock only to plan each
+    /// bucket and to commit it: the build (reads, merge, bucket write)
+    /// and the input deletion run unlocked, so `append` and `covers`
+    /// proceed meanwhile. Returns an empty report at once when another
+    /// sweep is already running. An `Err` or a panic mid-sweep keeps
+    /// the buckets committed so far, lists nothing half-built, and
+    /// releases the sweep, so a later call retries.
     pub fn compact(&self, policy: &CompactionPolicy) -> io::Result<CompactReport> {
-        self.lock().compact(policy)
+        let (fs, root) = {
+            let mut dir = self.lock();
+            if dir.sweeping {
+                return Ok(CompactReport::default());
+            }
+            dir.sweeping = true;
+            (dir.fs.clone(), dir.root.clone())
+        };
+        let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut report = CompactReport::default();
+            loop {
+                let planned = self.lock().plan_bucket(policy);
+                let Some(members) = planned else {
+                    return Ok(report);
+                };
+                let bucket = build_bucket(&fs, &root, &members)?;
+                commit_bucket(self.lock(), &members, bucket)?;
+                report.buckets += 1;
+                report.merged_epochs += members.len();
+            }
+        }));
+        self.lock().sweeping = false;
+        swept.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     /// A lock-free read-only handle to the same directory, for readers
@@ -1028,12 +1130,13 @@ impl Compactor {
     }
 
     /// Stop the thread (after one final sweep) and return its totals.
+    /// A sweep that panicked is re-raised here with its original
+    /// payload.
     pub fn finish(mut self) -> CompactTotals {
         drop(self.nudges.take());
-        match self.handle.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| invariant::violated("compactor thread panicked")),
+        match self.handle.take().map(std::thread::JoinHandle::join) {
+            Some(Ok(totals)) => totals,
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
             None => CompactTotals::default(),
         }
     }
@@ -1296,6 +1399,257 @@ mod tests {
         drop(shared);
         let (_, report) = EpochDir::open(&root).unwrap();
         assert!(report.quarantined.is_empty(), "{report:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    type ReadHook = dyn Fn(&Path) -> io::Result<()> + Send + Sync;
+
+    /// `StdFs` whose `read` first runs a test hook, which may park the
+    /// reader, fail the read, or panic.
+    #[derive(Clone)]
+    struct HookFs {
+        on_read: Arc<ReadHook>,
+    }
+
+    impl HookFs {
+        fn new(on_read: impl Fn(&Path) -> io::Result<()> + Send + Sync + 'static) -> Self {
+            HookFs {
+                on_read: Arc::new(on_read),
+            }
+        }
+    }
+
+    impl std::fmt::Debug for HookFs {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("HookFs")
+        }
+    }
+
+    impl Vfs for HookFs {
+        type File = std::fs::File;
+
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            StdFs.create_dir_all(dir)
+        }
+
+        fn list_dir(&self, dir: &Path) -> io::Result<Vec<(String, u64)>> {
+            StdFs.list_dir(dir)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            (self.on_read)(path)?;
+            StdFs.read(path)
+        }
+
+        fn create(&self, path: &Path) -> io::Result<std::fs::File> {
+            StdFs.create(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdFs.rename(from, to)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            StdFs.remove_file(path)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            StdFs.sync_dir(dir)
+        }
+    }
+
+    const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(30);
+
+    const PAIRS: CompactionPolicy = CompactionPolicy {
+        bucket: 2,
+        keep_recent: 1,
+    };
+
+    #[test]
+    fn seal_path_never_waits_on_a_bucket_build() {
+        // The compactor parks inside a bucket build, blocked reading a
+        // member segment. The seal path's append, covers and ids must
+        // still return: a build holds no lock. They run on a helper
+        // behind a watchdog, so a build that holds the directory lock
+        // fails the test instead of hanging it.
+        let root = tmp("parked-build");
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((parked_tx, release_rx)));
+        let fs = HookFs::new(move |path| {
+            if path.ends_with("epoch-00000001.cep") {
+                let armed = gate.lock().unwrap().take();
+                if let Some((parked, release)) = armed {
+                    parked.send(()).unwrap();
+                    let _ = release.recv();
+                }
+            }
+            Ok(())
+        });
+        let (shared, _) = SharedEpochDir::open_on(fs, &root).unwrap();
+        let epochs: Vec<Epoch> = (0..5).map(|id| epoch(id, 20 + id as u32)).collect();
+        for e in &epochs[..4] {
+            shared.append(e).unwrap();
+        }
+        let compactor = spawn_compactor(shared.clone(), PAIRS);
+        compactor.nudge();
+        parked_rx
+            .recv_timeout(WATCHDOG)
+            .expect("the sweep reads bucket 0..=1's members");
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let seal = shared.clone();
+        let newest = epochs[4].clone();
+        std::thread::spawn(move || {
+            seal.append(&newest).unwrap();
+            let _ = done_tx.send((seal.covers(4), seal.ids()));
+        });
+        let (covered, ids) = done_rx
+            .recv_timeout(WATCHDOG)
+            .unwrap_or_else(|_| panic!("append waited on a parked bucket build"));
+        assert!(covered);
+        assert_eq!(ids, Some((0, 4)));
+
+        release_tx.send(()).unwrap();
+        let totals = compactor.finish();
+        assert_eq!(totals.errors, 0, "{:?}", totals.last_error);
+        assert_eq!((totals.buckets, totals.merged_epochs), (2, 4));
+
+        let segments = shared.reader().segments().unwrap();
+        let ranges: Vec<(u64, u64)> = segments.iter().map(|m| (m.first, m.last)).collect();
+        assert_eq!(ranges, [(0, 1), (2, 3), (4, 4)], "ids stay dense");
+        for meta in segments.iter().filter(|m| m.is_bucket()) {
+            let members = &epochs[meta.first as usize..=meta.last as usize];
+            assert_eq!(
+                std::fs::read(root.join(meta.file_name())).unwrap(),
+                epoch::encode(&merge_epochs(members).unwrap()),
+                "bucket {}..={}",
+                meta.first,
+                meta.last
+            );
+        }
+        drop(shared);
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: 3,
+                ..OpenReport::default()
+            }
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn compactor_panic_is_reraised_with_its_payload() {
+        let root = tmp("panic-payload");
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let trigger = Arc::clone(&armed);
+        let fs = HookFs::new(move |path| {
+            if trigger.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                panic!("injected read fault at {}", path.display());
+            }
+            Ok(())
+        });
+        let (shared, _) = SharedEpochDir::open_on(fs, &root).unwrap();
+        for id in 0..3 {
+            shared.append(&epoch(id, 10)).unwrap();
+        }
+        let compactor = spawn_compactor(shared.clone(), PAIRS);
+        compactor.nudge();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compactor.finish()))
+            .expect_err("the sweep panicked");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.starts_with("injected read fault at"),
+            "payload lost: {message:?}"
+        );
+        assert!(!armed.load(std::sync::atomic::Ordering::Relaxed));
+        // The build held no guard, so nothing is poisoned, and the
+        // unwinding sweep gave up its claim: the next sweep runs.
+        assert!(!shared.inner.is_poisoned());
+        let report = shared.compact(&PAIRS).unwrap();
+        assert_eq!((report.buckets, report.merged_epochs), (1, 2));
+        drop(shared);
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: 2,
+                ..OpenReport::default()
+            }
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_sweep_is_retried_on_the_next_nudge() {
+        let root = tmp("retry");
+        let (failed_tx, failed_rx) = mpsc::channel::<()>();
+        let once = Mutex::new(Some(failed_tx));
+        let fs = HookFs::new(move |_| {
+            let armed = once.lock().unwrap().take();
+            match armed {
+                Some(failed) => {
+                    let _ = failed.send(());
+                    Err(io::Error::other("injected read error"))
+                }
+                None => Ok(()),
+            }
+        });
+        let (shared, _) = SharedEpochDir::open_on(fs, &root).unwrap();
+        for id in 0..5 {
+            shared.append(&epoch(id, 10)).unwrap();
+        }
+        let compactor = spawn_compactor(shared.clone(), PAIRS);
+        compactor.nudge();
+        failed_rx
+            .recv_timeout(WATCHDOG)
+            .expect("the first sweep reads a member");
+        // Queued behind the failing sweep, so it starts a fresh one.
+        compactor.nudge();
+        let deadline = std::time::Instant::now() + WATCHDOG;
+        while shared.len() == 5 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the nudge after a failed sweep did not retry it"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let totals = compactor.finish();
+        assert_eq!(totals.errors, 1);
+        assert_eq!(totals.last_error.as_deref(), Some("injected read error"));
+        assert_eq!((totals.buckets, totals.merged_epochs), (2, 4));
+        drop(shared);
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: 3,
+                ..OpenReport::default()
+            }
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn commit_rejects_members_no_longer_listed() {
+        let root = tmp("commit-check");
+        let (mut dir, _) = EpochDir::open(&root).unwrap();
+        for id in 0..3 {
+            dir.append(&epoch(id, 10)).unwrap();
+        }
+        let members = dir.plan_bucket(&PAIRS).unwrap();
+        let bucket = build_bucket(&dir.fs, &dir.root, &members).unwrap();
+        dir.segments.remove(1);
+        let err = commit_bucket(&mut dir, &members, bucket).unwrap_err();
+        assert!(
+            err.to_string().contains("no longer listed contiguously"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -88,6 +88,21 @@ struct State {
     /// Fault injection: swallow `sync_all` calls (record nothing), the
     /// runtime analogue of deleting the `sync_all` before the rename.
     skip_fsync: bool,
+    /// Interleaving injection: see [`SimFs::on_rename_once`].
+    rename_hook: Option<RenameHook>,
+}
+
+/// A callback [`SimFs::on_rename_once`] runs right after a rename onto
+/// `to` applies.
+struct RenameHook {
+    to: PathBuf,
+    run: Box<dyn FnOnce() + Send>,
+}
+
+impl std::fmt::Debug for RenameHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RenameHook").field("to", &self.to).finish()
+    }
 }
 
 /// The fault-injecting in-memory filesystem. Cheap to clone (the clone
@@ -118,6 +133,19 @@ impl SimFs {
     /// un-fsynced and crash enumeration may drop or tear it.
     pub fn set_skip_fsync(&self, on: bool) {
         self.lock().skip_fsync = on;
+    }
+
+    /// Run `hook` once, right after the next rename onto `to` applies
+    /// and outside this filesystem's own lock, so the hook may run more
+    /// operations. This places another writer's work at one exact
+    /// point of a workload's op trace, deterministically and on one
+    /// thread — e.g. an append between a compaction bucket's rename and
+    /// the compaction's manifest commit.
+    pub fn on_rename_once(&self, to: impl Into<PathBuf>, hook: impl FnOnce() + Send + 'static) {
+        self.lock().rename_hook = Some(RenameHook {
+            to: to.into(),
+            run: Box::new(hook),
+        });
     }
 
     /// The op trace so far.
@@ -152,6 +180,7 @@ impl SimFs {
                 dirs,
                 trace: Vec::new(),
                 skip_fsync: false,
+                rename_hook: None,
             })),
         }
     }
@@ -234,15 +263,25 @@ impl Vfs for SimFs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut st = self.lock();
-        let Some(ino) = st.names.remove(from) else {
-            return Err(not_found(from));
+        let hook = {
+            let mut st = self.lock();
+            let Some(ino) = st.names.remove(from) else {
+                return Err(not_found(from));
+            };
+            st.names.insert(to.to_path_buf(), ino);
+            st.trace.push(Op::Rename {
+                from: from.to_path_buf(),
+                to: to.to_path_buf(),
+            });
+            if st.rename_hook.as_ref().is_some_and(|hook| hook.to == to) {
+                st.rename_hook.take()
+            } else {
+                None
+            }
         };
-        st.names.insert(to.to_path_buf(), ino);
-        st.trace.push(Op::Rename {
-            from: from.to_path_buf(),
-            to: to.to_path_buf(),
-        });
+        if let Some(hook) = hook {
+            (hook.run)();
+        }
         Ok(())
     }
 
@@ -607,6 +646,29 @@ mod tests {
         f.write_all(b"abc").unwrap();
         f.sync_all().unwrap();
         assert!(!fs.trace().iter().any(|op| matches!(op, Op::Fsync { .. })));
+    }
+
+    #[test]
+    fn rename_hook_runs_once_after_its_rename() {
+        let fs = SimFs::new();
+        let root = PathBuf::from("/d");
+        fs.create_dir_all(&root).unwrap();
+        let hook_fs = fs.clone();
+        fs.on_rename_once(root.join("b"), move || {
+            hook_fs.create(Path::new("/d/hooked")).unwrap();
+        });
+        fs.create(&root.join("a")).unwrap();
+        fs.rename(&root.join("a"), &root.join("c")).unwrap();
+        assert!(
+            !fs.file_exists(Path::new("/d/hooked")),
+            "other renames skip it"
+        );
+        fs.rename(&root.join("c"), &root.join("b")).unwrap();
+        assert!(matches!(fs.trace().last(), Some(Op::Create { .. })));
+        fs.remove_file(Path::new("/d/hooked")).unwrap();
+        fs.rename(&root.join("b"), &root.join("c")).unwrap();
+        fs.rename(&root.join("c"), &root.join("b")).unwrap();
+        assert!(!fs.file_exists(Path::new("/d/hooked")), "it runs once");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Crash-consistency model tests: run the real segment store against
 //! [`crashsim::SimFs`], then exhaustively enumerate crash schedules
-//! and re-run real recovery at each one. Three workloads cover the
-//! three commit paths (append run, compaction's commit-before-delete
-//! window, spill-under-eviction), and a seeded fault — fsyncs
-//! swallowed, the runtime equivalent of deleting the `sync_all`
-//! before the rename — must produce failing schedules.
+//! and re-run real recovery at each one. Four workloads cover the
+//! commit paths (append run, compaction's commit-before-delete
+//! window, spill-under-eviction, and an append landing between a
+//! bucket's rename and the compaction's manifest commit), and a seeded
+//! fault — fsyncs swallowed, the runtime equivalent of deleting the
+//! `sync_all` before the rename — must produce failing schedules.
 //!
 //! Schedule counts are printed per workload; `CRASHSIM_EXHAUSTIVE=1`
 //! (the `VERIFY_HEAVY` path) scales the workloads up and tears writes
@@ -12,8 +13,9 @@
 
 use cocosketch::segment::{CompactionPolicy, EpochDir, SharedEpochDir};
 use cocosketch::{Epoch, EpochStore, FlowTable};
-use crashsim::{enumerate, CrashOptions, DurabilityCheck, SimFs};
-use std::path::Path;
+use crashsim::{enumerate, CrashOptions, DurabilityCheck, Op, SimFs};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use traffic::{FiveTuple, KeyBytes, KeySpec};
 
 /// A small synthetic epoch whose table is deterministic in `id`.
@@ -159,6 +161,89 @@ fn spill_under_eviction_survives_every_crash_schedule() {
         report.schedules
     );
     assert!(report.clean(), "{:#?}", report.violations);
+}
+
+#[test]
+fn append_between_bucket_rename_and_manifest_commit_survives_every_crash_schedule() {
+    // The interleaving an unlocked bucket build opens: the seal path
+    // appends while the compactor builds. A one-shot hook on the first
+    // bucket's rename runs the append right there, so the appended
+    // segment and its manifest commit land between the bucket's rename
+    // and the compaction's manifest commit — deterministically, on one
+    // thread.
+    let (appends, rows, block) = scale();
+    let appends = appends.max(6);
+    let fs = SimFs::new();
+    let root = Path::new("/sim/interleave");
+    let (shared, _) = SharedEpochDir::open_on(fs.clone(), root).unwrap();
+    let mut check = DurabilityCheck::default();
+    for id in 0..appends {
+        let e = small_epoch(id, rows);
+        check.offer(&e);
+        shared.append(&e).unwrap();
+        check.ack(fs.mark(), id);
+    }
+    let late = small_epoch(appends, rows);
+    check.offer(&late);
+    let policy = CompactionPolicy {
+        bucket: 3,
+        keep_recent: 1,
+    };
+    let first_bucket = root.join("bucket-00000000-00000002.cep");
+    let acked = Arc::new(Mutex::new(None));
+    let (seal, hook_fs, hook_acked) = (shared.clone(), fs.clone(), Arc::clone(&acked));
+    fs.on_rename_once(first_bucket.clone(), move || {
+        seal.append(&late).unwrap();
+        *hook_acked.lock().unwrap() = Some(hook_fs.mark());
+    });
+    let report = shared.compact(&policy).unwrap();
+    assert!(report.buckets > 0, "workload must actually compact");
+    let late_mark = acked
+        .lock()
+        .unwrap()
+        .expect("the bucket rename ran the append");
+    check.ack(late_mark, appends);
+
+    // Pin the interleaving in the trace: after the bucket's rename and
+    // before the first input is deleted, the late epoch's segment
+    // renames in and two manifest commits follow — the append's (acked
+    // at `late_mark`), then the compaction's.
+    let trace = fs.trace();
+    let renames_onto = |path: PathBuf| -> Vec<usize> {
+        (0..trace.len())
+            .filter(|&i| matches!(&trace[i], Op::Rename { to, .. } if *to == path))
+            .collect()
+    };
+    let bucket_at = renames_onto(first_bucket)[0];
+    let late_at = renames_onto(root.join(format!("epoch-{appends:08}.cep")))[0];
+    let first_unlink = (0..trace.len())
+        .find(|&i| matches!(trace[i], Op::Unlink { .. }))
+        .expect("compaction deletes its inputs");
+    let commits: Vec<usize> = renames_onto(root.join("MANIFEST"))
+        .into_iter()
+        .filter(|&i| bucket_at < i && i < first_unlink)
+        .collect();
+    assert_eq!(commits.len(), 2, "{commits:?}");
+    assert!(bucket_at < late_at && late_at < commits[0] && commits[0] < late_mark);
+    assert!(late_mark <= commits[1]);
+
+    let mark = fs.mark();
+    for id in 0..=appends {
+        check.ack(mark, id);
+    }
+    let opts = CrashOptions {
+        block,
+        ..CrashOptions::default()
+    };
+    let crashes = enumerate(&fs, root, &check, &opts);
+    eprintln!(
+        "crashsim: append during bucket build explored {} schedules",
+        crashes.schedules
+    );
+    assert!(crashes.clean(), "{:#?}", crashes.violations);
+    if exhaustive() {
+        assert!(crashes.schedules > 500, "{}", crashes.schedules);
+    }
 }
 
 #[test]

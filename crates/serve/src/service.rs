@@ -343,9 +343,13 @@ impl Service {
 
     /// Catalog occupancy and cache counters.
     pub fn info(&self) -> ServiceInfo {
+        // One catalog read: the retained window is dense, so the count
+        // follows from the ids, and a publish cannot land between
+        // reading one and reading the other.
+        let ids = self.snapshots.ids();
         ServiceInfo {
-            ids: self.snapshots.ids(),
-            epochs: self.snapshots.len(),
+            ids,
+            epochs: ids.map_or(0, |(oldest, latest)| (latest - oldest + 1) as usize),
             cache: self.projectors.stats(),
             cold_errors: self.cold_errors.load(Ordering::Relaxed),
         }
