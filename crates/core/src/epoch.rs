@@ -60,18 +60,30 @@ impl Epoch {
 
 /// Encode a sealed epoch for export (see the module docs for layout).
 pub fn encode(epoch: &Epoch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
+    let mut out = Vec::new();
+    encode_into(epoch, &mut out);
+    out
+}
+
+/// Append [`encode`]'s bytes to `out`, reserving their exact length
+/// once, so a caller that frames the epoch (a wire status byte) copies
+/// each row exactly once.
+pub fn encode_into(epoch: &Epoch, out: &mut Vec<u8>) {
+    let tables: usize = epoch
+        .tables
+        .iter()
+        .map(|t| 4 + snapshot::encoded_len(t))
+        .sum();
+    out.reserve_exact(HEADER_LEN + tables);
     out.extend_from_slice(EPOCH_MAGIC);
     out.extend_from_slice(&epoch.id.to_le_bytes());
     out.extend_from_slice(&epoch.packets.to_le_bytes());
     out.extend_from_slice(&epoch.weight.to_le_bytes());
     out.extend_from_slice(&(epoch.tables.len() as u32).to_le_bytes());
     for table in &epoch.tables {
-        let bytes = snapshot::encode(table);
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&(snapshot::encoded_len(table) as u32).to_le_bytes());
+        snapshot::encode_into(table, out);
     }
-    out
 }
 
 /// Decode an exported epoch. Returns `Err` (never panics) on
@@ -532,6 +544,41 @@ mod tests {
         let back = decode(&encode(&epoch)).unwrap();
         assert_eq!(back, epoch);
         assert_eq!(back.primary().rows(), epoch.tables[0].rows());
+    }
+
+    #[test]
+    fn encoding_keeps_the_documented_layout_in_one_exact_buffer() {
+        let epoch = Epoch {
+            id: 7,
+            packets: 1000,
+            weight: 2500,
+            tables: vec![
+                table(50, 0),
+                table(20, 1000),
+                FlowTable::new(KeySpec::SRC_IP, vec![]),
+            ],
+        };
+        // The envelope assembled field by field from the module docs,
+        // one snapshot::encode per table: segment files written before
+        // encode_into existed have exactly these bytes.
+        let mut want = EPOCH_MAGIC.to_vec();
+        for v in [epoch.id, epoch.packets, epoch.weight] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        want.extend_from_slice(&3u32.to_le_bytes());
+        for t in &epoch.tables {
+            let bytes = snapshot::encode(t);
+            assert_eq!(bytes.len(), snapshot::encoded_len(t));
+            want.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            want.extend_from_slice(&bytes);
+        }
+        assert_eq!(encode(&epoch), want);
+        // Appending behind a prefix reserves the exact length once.
+        let mut framed = vec![0xAB];
+        encode_into(&epoch, &mut framed);
+        assert_eq!(framed[0], 0xAB);
+        assert_eq!(&framed[1..], want.as_slice());
+        assert_eq!(framed.capacity(), framed.len());
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use basic::{BasicCocoSketch, TieBreak};
 pub use epoch::{Epoch, EpochStore, SpillSink};
 pub use hardware::{Combine, DivisionMode, HardwareCocoSketch};
 pub use merge::{merge_all, MergeError};
-pub use query::FlowTable;
+pub use query::{FlowTable, GroupBy};
 pub use sampling::SampledCoco;
 pub use segment::{CompactionPolicy, DirReader, EpochDir, SharedEpochDir};
 pub use vfs::{StdFs, Vfs, VfsFile};

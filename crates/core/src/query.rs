@@ -17,17 +17,30 @@
 //! # The query-plane engine
 //!
 //! Queries are a performance surface, not an afterthought: an HHH run
-//! asks for 33 (1-d) or 1089 (2-d) partial keys of the *same* table.
-//! Three mechanisms keep that cheap, all bit-identical to the naive
+//! asks for 33 (1-d) or 1089 (2-d) partial keys of the *same* table,
+//! and a resident service answers the same few keys over and over.
+//! These mechanisms keep that cheap, all bit-identical to the naive
 //! per-spec scan:
 //!
 //! - **Compiled projections** ([`traffic::Projector`]): each spec's
-//!   `g(·)` is lowered once into a branch-free byte gather-and-mask
-//!   plan, so the per-row cost is a handful of byte moves instead of a
-//!   `FiveTuple` decode/re-encode round trip. Unrelated specs are
-//!   scanned one at a time: for an in-memory table hashing dominates
-//!   traversal, and one hot result map beats interleaved inserts into
-//!   N maps.
+//!   `g(·)` is lowered once into a branch-free shift-and-mask plan over
+//!   the key's big-endian word, so the per-row cost is a few integer
+//!   operations instead of a `FiveTuple` decode/re-encode round trip.
+//! - **One group-by kernel** ([`GroupBy`]): the query service's answers
+//!   (one table, or every table of a cross-epoch window) and
+//!   compaction's [`FlowTable::merged`] project rows to integer words,
+//!   sort them once and sum equal neighbours. On measured tables
+//!   almost every row is its own group (a 23,259-row epoch gives
+//!   23,096–23,259 groups for each of the six paper keys), so a hash
+//!   map merges almost nothing and the answer is, in effect, one sort
+//!   of the table; sorting plain integers instead of comparing byte
+//!   slices is what makes that sort cheap.
+//! - **Reference scans** ([`FlowTable::query_partial`],
+//!   [`FlowTable::query_all`], [`FlowTable::query_all_entries`]): one
+//!   hash-map scan per root spec. They are kept apart from the kernel
+//!   on purpose: the service's tests and benches check its answers
+//!   against these, so every such check compares two independent
+//!   group-bys.
 //! - **Hierarchy rollup** ([`FlowTable::query_rollup`]): when one spec
 //!   is a partial key of another *in the same query set*, its result is
 //!   aggregated from the ancestor's (much smaller) result map instead
@@ -47,7 +60,7 @@
 //!   independent of chunking and scheduling.
 
 use hashkit::{fast_map_with_capacity, invariant, FastMap};
-use traffic::{KeyBytes, KeySpec, Projector, MAX_KEY_BYTES};
+use traffic::{KeyBytes, KeySpec, Projector};
 
 /// Row count above which [`FlowTable::query_all`] switches the base
 /// scan to the parallel path (when more than one CPU is available).
@@ -488,56 +501,167 @@ impl FlowTable {
         if tables.iter().any(|t| *t.full_spec() != full) {
             return None;
         }
-        // One sort of plain integers, then a linear sum of equal
-        // neighbours: about half the CPU of a hash map followed by a
-        // sort that compares slices, which matters because compaction
-        // runs this beside the ingest path.
-        let mut words: Vec<(u128, u8, u64)> =
-            Vec::with_capacity(tables.iter().map(|t| t.len()).sum());
+        // The identity projection through the group-by kernel: one
+        // integer sort, cheap because compaction runs this beside the
+        // ingest path.
+        let identity = full.projector(&full);
+        let mut groups =
+            GroupBy::with_rows(full.encoded_len(), tables.iter().map(|t| t.len()).sum());
         for table in tables {
-            words.extend(table.rows.iter().map(|(key, size)| {
-                let (word, len) = sort_word(key);
-                (word, len, *size)
-            }));
+            groups.project(&table.rows, &identity);
         }
-        words.sort_unstable_by_key(|&(word, len, _)| (word, len));
-        let mut overflow = false;
-        words.dedup_by(|cur, acc| {
-            let same = (cur.0, cur.1) == (acc.0, acc.1);
-            if same {
-                match acc.2.checked_add(cur.2) {
-                    Some(sum) => acc.2 = sum,
-                    None => overflow = true,
-                }
-            }
-            same
-        });
-        if overflow {
-            return None;
-        }
-        let rows = words
-            .into_iter()
-            .map(|(word, len, size)| {
-                let bytes = word.to_be_bytes();
-                let key = KeyBytes::new(&bytes[..usize::from(len)]); // LINT: bounded(len came from sort_word: key.len() <= 16 = bytes.len())
-                (key, size)
-            })
-            .collect();
-        Some(FlowTable::new(full, rows))
+        groups.sort_and_sum()?;
+        Some(FlowTable::new(full, groups.entries()))
     }
 }
 
-const _: () = assert!(MAX_KEY_BYTES <= 16, "sort_word packs a key into a u128");
+/// The query plane's group-by kernel: `SELECT g(k), SUM(size) GROUP BY
+/// g(k)` as one sort of plain integers.
+///
+/// Each row's full key is read as its big-endian
+/// [`word`](KeyBytes::word), projected by the compiled plan
+/// ([`Projector::project_word`]) and kept with its size as an integer
+/// pair: a `u64` word when the projected key fits in 8 bytes, a `u128`
+/// word otherwise. One `sort_unstable` puts equal words side by side,
+/// and one pass sums them with `checked_add`. Words of keys of one
+/// length order like their bytes, so the groups come out in the
+/// lexicographic key order of [`FlowTable::query_all_entries`], with
+/// the same keys and the same sums.
+///
+/// Rows from any number of tables go into one buffer, each through its
+/// own projector, so a cross-epoch window or a compaction merge is one
+/// sort and one sum. The caller sizes the buffer once
+/// ([`with_rows`](Self::with_rows)); [`project`](Self::project) and
+/// [`sort_and_sum`](Self::sort_and_sum) then work in place and never
+/// allocate, so they can run on a hot path.
+#[derive(Debug)]
+pub struct GroupBy {
+    out_len: usize,
+    filled: usize,
+    pairs: Pairs,
+}
 
-/// `key` as a zero-padded big-endian integer and its length. Ordering
-/// by the pair is exactly the byte order of [`KeyBytes::as_slice`]: bytes
-/// past a key's length are zero, so a key equal to a longer key's
-/// padded prefix is that key's slice prefix and sorts first by length.
-/// Rebuilding the key from the pair gives back an equal [`KeyBytes`].
-fn sort_word(key: &KeyBytes) -> (u128, u8) {
-    let mut bytes = [0u8; 16];
-    bytes[..key.len()].copy_from_slice(key.as_slice()); // LINT: bounded(key.len() <= MAX_KEY_BYTES <= 16, asserted above)
-    (u128::from_be_bytes(bytes), key.len() as u8)
+/// The kernel's `(word, size)` buffer, in the narrowest word that holds
+/// the projected key.
+#[derive(Debug)]
+enum Pairs {
+    Narrow(Vec<(u64, u64)>),
+    Wide(Vec<(u128, u64)>),
+}
+
+impl GroupBy {
+    /// A kernel with room for `rows` rows projected to keys `out_len`
+    /// bytes wide: the one allocation of a group-by.
+    pub fn with_rows(out_len: usize, rows: usize) -> Self {
+        let pairs = if out_len <= 8 {
+            Pairs::Narrow(vec![(0, 0); rows])
+        } else {
+            Pairs::Wide(vec![(0, 0); rows])
+        };
+        Self {
+            out_len,
+            filled: 0,
+            pairs,
+        }
+    }
+
+    /// Project `rows` through `proj` into the next free slots. The
+    /// buffer must have room for them: rows past the size given to
+    /// [`with_rows`](Self::with_rows) are not grouped.
+    #[inline]
+    pub fn project(&mut self, rows: &[(KeyBytes, u64)], proj: &Projector) {
+        debug_assert_eq!(proj.out_len(), self.out_len, "projector width");
+        match &mut self.pairs {
+            Pairs::Narrow(pairs) => project_pairs(pairs, self.filled, rows, proj),
+            Pairs::Wide(pairs) => project_pairs(pairs, self.filled, rows, proj),
+        }
+        self.filled += rows.len();
+    }
+
+    /// Sort the projected rows and sum equal neighbours, in place.
+    /// `None` when a group's sum overflows `u64`: no group is wrapped.
+    pub fn sort_and_sum(&mut self) -> Option<()> {
+        match &mut self.pairs {
+            Pairs::Narrow(pairs) => sort_and_sum(pairs, self.filled),
+            Pairs::Wide(pairs) => sort_and_sum(pairs, self.filled),
+        }
+    }
+
+    /// The groups as `(partial key, size)` rows. After
+    /// [`sort_and_sum`](Self::sort_and_sum) they are sorted by key bytes
+    /// and each key appears once.
+    pub fn entries(&self) -> Vec<(KeyBytes, u64)> {
+        match &self.pairs {
+            Pairs::Narrow(pairs) => pair_entries(pairs, self.out_len),
+            Pairs::Wide(pairs) => pair_entries(pairs, self.out_len),
+        }
+    }
+}
+
+/// A sort word of the [`GroupBy`] kernel: the top bytes of a projected
+/// key word.
+trait Word: Copy + Ord {
+    fn from_key_word(word: u128) -> Self;
+    fn key_word(self) -> u128;
+}
+
+impl Word for u64 {
+    #[inline]
+    fn from_key_word(word: u128) -> Self {
+        (word >> 64) as u64
+    }
+    #[inline]
+    fn key_word(self) -> u128 {
+        u128::from(self) << 64
+    }
+}
+
+impl Word for u128 {
+    #[inline]
+    fn from_key_word(word: u128) -> Self {
+        word
+    }
+    #[inline]
+    fn key_word(self) -> u128 {
+        self
+    }
+}
+
+#[inline]
+fn project_pairs<W: Word>(
+    pairs: &mut [(W, u64)],
+    from: usize,
+    rows: &[(KeyBytes, u64)],
+    proj: &Projector,
+) {
+    debug_assert!(from + rows.len() <= pairs.len(), "buffer sized too small");
+    for (pair, (key, size)) in pairs.iter_mut().skip(from).zip(rows) {
+        *pair = (W::from_key_word(proj.project_word(key.word())), *size);
+    }
+}
+
+fn sort_and_sum<W: Word>(pairs: &mut Vec<(W, u64)>, filled: usize) -> Option<()> {
+    pairs.truncate(filled);
+    pairs.sort_unstable_by_key(|&(word, _)| word);
+    let mut overflow = false;
+    pairs.dedup_by(|cur, acc| {
+        let same = cur.0 == acc.0;
+        if same {
+            match acc.1.checked_add(cur.1) {
+                Some(sum) => acc.1 = sum,
+                None => overflow = true,
+            }
+        }
+        same
+    });
+    (!overflow).then_some(())
+}
+
+fn pair_entries<W: Word>(pairs: &[(W, u64)], len: usize) -> Vec<(KeyBytes, u64)> {
+    pairs
+        .iter()
+        .map(|&(word, size)| (KeyBytes::from_word(word.key_word(), len), size))
+        .collect()
 }
 
 #[cfg(test)]
@@ -821,6 +945,69 @@ mod tests {
         assert!(FlowTable::merged(&[&a, &narrow]).is_none(), "spec mismatch");
         let solo = FlowTable::merged(&[&a]).unwrap();
         assert_eq!(solo.total(), a.total());
+    }
+
+    #[test]
+    fn group_by_matches_query_partial_at_every_width() {
+        // Duplicated full keys: the second half repeats the first.
+        let t = big_table(2_000);
+        let doubled: Vec<(KeyBytes, u64)> = t.rows().iter().chain(t.rows()).copied().collect();
+        let t = FlowTable::new(*t.full_spec(), doubled);
+        // Widths 0..=13 bytes: both word sizes and the 8-byte boundary.
+        for ips in 0..4u8 {
+            for flags in 0..8u8 {
+                let spec = KeySpec {
+                    src_ip_bits: if ips & 1 != 0 { 32 } else { 0 },
+                    dst_ip_bits: if ips & 2 != 0 { 17 } else { 0 },
+                    src_port: flags & 1 != 0,
+                    dst_port: flags & 2 != 0,
+                    proto: flags & 4 != 0,
+                };
+                let mut groups = GroupBy::with_rows(spec.encoded_len(), t.len());
+                groups.project(t.rows(), &spec.projector(t.full_spec()));
+                assert!(groups.sort_and_sum().is_some());
+                assert_eq!(groups.entries(), sorted_partial(&t, &spec), "{spec}");
+            }
+        }
+        // Tables under different full keys group together, each through
+        // its own projector.
+        let narrow = FlowTable::new(
+            KeySpec::SRC_DST,
+            t.rows()
+                .iter()
+                .map(|(k, v)| (KeySpec::SRC_DST.project_key(t.full_spec(), k), *v))
+                .collect(),
+        );
+        let spec = KeySpec::src_prefix(20);
+        let mut groups = GroupBy::with_rows(spec.encoded_len(), t.len() + narrow.len());
+        for table in [&t, &narrow] {
+            groups.project(table.rows(), &spec.projector(table.full_spec()));
+        }
+        assert!(groups.sort_and_sum().is_some());
+        let doubled: Vec<(KeyBytes, u64)> = sorted_partial(&t, &spec)
+            .into_iter()
+            .map(|(k, v)| (k, 2 * v))
+            .collect();
+        assert_eq!(groups.entries(), doubled);
+    }
+
+    #[test]
+    fn group_by_rejects_overflow_and_ignores_unfilled_slots() {
+        let full = KeySpec::FIVE_TUPLE;
+        let rows = [
+            (full.project(&FiveTuple::new(1, 2, 3, 4, 6)), u64::MAX),
+            (full.project(&FiveTuple::new(1, 9, 3, 4, 6)), 1),
+        ];
+        for (spec, fits) in [(KeySpec::SRC_IP, false), (KeySpec::SRC_DST, true)] {
+            // Sized for more rows than are projected: the spare slots
+            // must not surface as a zero key.
+            let mut groups = GroupBy::with_rows(spec.encoded_len(), 5);
+            groups.project(&rows, &spec.projector(&full));
+            assert_eq!(groups.sort_and_sum().is_some(), fits, "{spec}");
+            if fits {
+                assert_eq!(groups.entries().len(), 2);
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,19 @@ const MAGIC: &[u8; 4] = b"CFT1";
 
 /// Encode a flow table for export.
 pub fn encode(table: &FlowTable) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(table));
+    encode_into(table, &mut out);
+    out
+}
+
+/// Length in bytes of [`encode`]'s output for `table`.
+pub(crate) fn encoded_len(table: &FlowTable) -> usize {
+    13 + table.len() * (table.full_spec().encoded_len() + 8)
+}
+
+/// Append [`encode`]'s bytes to `out`.
+pub(crate) fn encode_into(table: &FlowTable, out: &mut Vec<u8>) {
     let spec = table.full_spec();
-    let key_len = spec.encoded_len();
-    let mut out = Vec::with_capacity(13 + table.len() * (key_len + 8));
     out.extend_from_slice(MAGIC);
     out.push(spec.src_ip_bits);
     out.push(spec.dst_ip_bits);
@@ -34,7 +44,6 @@ pub fn encode(table: &FlowTable) -> Vec<u8> {
         out.extend_from_slice(key.as_slice());
         out.extend_from_slice(&size.to_le_bytes());
     }
-    out
 }
 
 /// Decode an exported flow table.

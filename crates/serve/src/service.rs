@@ -8,15 +8,21 @@
 //! reader method takes `&self`, never blocks the publisher, and
 //! answers from a sealed, immutable epoch snapshot, so an answer is
 //! bit-identical to running the same query directly on that epoch's
-//! table (`tests` and the `qps` bench both assert this against
-//! [`FlowTable::query_all_entries`]).
+//! table.
+//!
+//! Partial-key and window answers run through the query plane's
+//! group-by kernel ([`GroupBy`]): every contributing row is projected
+//! to an integer word, the words are sorted once and equal neighbours
+//! summed. The hierarchy query ([`Service::multi`]) runs the rollup
+//! engine. `tests` and the `qps` bench check every served answer
+//! against [`FlowTable::query_all_entries`], whose hash-map scan is a
+//! separate implementation of the same group-by.
 
 use crate::cache::{CacheStats, ProjectorCache};
 use crate::catalog::{catalog, CatalogWriter, SnapshotCatalog};
 use crate::sync::{AtomicU64, Ordering};
 use cocosketch::segment::SegmentMeta;
-use cocosketch::{DirReader, Epoch, FlowTable};
-use hashkit::{fast_map_with_capacity, FastMap};
+use cocosketch::{DirReader, Epoch, FlowTable, GroupBy};
 use std::sync::Arc;
 use traffic::{KeyBytes, KeySpec};
 
@@ -190,17 +196,17 @@ impl Service {
 
     /// Answer one partial-key query against the selected epoch's
     /// primary table. `None` when the epoch is not retained, sealed no
-    /// tables, or `spec` is not a partial key of the table's full key.
+    /// tables, `spec` is not a partial key of the table's full key, or
+    /// a group's size overflows `u64`.
     pub fn partial(&self, sel: Select, spec: &KeySpec) -> Option<Answer> {
         let epoch = self.snapshot(sel)?;
         let table = epoch.tables.first()?;
-        let mut groups = self.aggregate(table, spec)?;
         Some(Answer {
             epoch: epoch.id,
             packets: epoch.packets,
             weight: epoch.weight,
             spec: *spec,
-            entries: sorted_entries(&mut groups),
+            entries: self.group(&[table], spec)?,
         })
     }
 
@@ -245,14 +251,17 @@ impl Service {
     /// merged table — compaction conserves per-key sums exactly, so
     /// that equals summing its member epochs — while a bucket that
     /// straddles the range boundary is excluded (its per-epoch
-    /// resolution is gone; including it would over-count).
+    /// resolution is gone; including it would over-count). Every
+    /// contributing table, warm or cold, goes into one group-by: one
+    /// sort and one sum for the whole window.
     ///
-    /// `None` when nothing in the range can be served or the spec
-    /// doesn't fit; otherwise the answer also reports how many epoch
-    /// ids contributed weight (a bucket counts its whole span).
-    /// Comparing that count to the requested range is how callers
-    /// detect partial coverage: ids evicted without a spill sink,
-    /// straddling buckets, or failed cold reads (which also bump
+    /// `None` when nothing in the range can be served, the spec
+    /// doesn't fit, or a sum (a group's size, or the window's packets
+    /// or weight) overflows `u64`; otherwise the answer also reports
+    /// how many epoch ids contributed weight (a bucket counts its whole
+    /// span). Comparing that count to the requested range is how
+    /// callers detect partial coverage: ids evicted without a spill
+    /// sink, straddling buckets, or failed cold reads (which also bump
     /// [`ServiceInfo::cold_errors`]).
     pub fn window(&self, first: u64, last: u64, spec: &KeySpec) -> Option<(Answer, usize)> {
         let cold_segments: Vec<SegmentMeta> = match &self.cold {
@@ -275,7 +284,7 @@ impl Service {
         if lo > hi {
             return None;
         }
-        let mut groups: FastMap<KeyBytes, u64> = FastMap::default();
+        let mut epochs: Vec<Arc<Epoch>> = Vec::new();
         let mut contributed = 0usize;
         let mut last_id = 0u64;
         let (mut packets, mut weight) = (0u64, 0u64);
@@ -286,18 +295,15 @@ impl Service {
             let Some(epoch) = self.snapshots.get(id) else {
                 continue;
             };
-            let Some(table) = epoch.tables.first() else {
+            if epoch.tables.is_empty() {
                 continue;
-            };
-            let level = self.aggregate(table, spec)?;
-            for (key, size) in level {
-                *groups.entry(key).or_insert(0) += size;
             }
             warm_served.push(id);
             contributed += 1;
             last_id = last_id.max(epoch.id);
-            packets += epoch.packets;
-            weight += epoch.weight;
+            packets = packets.checked_add(epoch.packets)?;
+            weight = weight.checked_add(epoch.weight)?;
+            epochs.push(epoch);
         }
         // Cold pass: in-range segments the warm tier didn't serve —
         // one validated read per segment, buckets included whole.
@@ -313,29 +319,27 @@ impl Service {
                 let Some(epoch) = self.note_cold(reader.read_segment(meta).map(Some)) else {
                     continue;
                 };
-                let Some(table) = epoch.tables.first() else {
+                if epoch.tables.is_empty() {
                     continue;
-                };
-                let level = self.aggregate(table, spec)?;
-                for (key, size) in level {
-                    *groups.entry(key).or_insert(0) += size;
                 }
                 contributed += (meta.last - meta.first + 1) as usize;
                 last_id = last_id.max(meta.last);
-                packets += epoch.packets;
-                weight += epoch.weight;
+                packets = packets.checked_add(epoch.packets)?;
+                weight = weight.checked_add(epoch.weight)?;
+                epochs.push(Arc::new(epoch));
             }
         }
         if contributed == 0 {
             return None;
         }
+        let tables: Vec<&FlowTable> = epochs.iter().filter_map(|e| e.tables.first()).collect();
         Some((
             Answer {
                 epoch: last_id,
                 packets,
                 weight,
                 spec: *spec,
-                entries: sorted_entries(&mut groups),
+                entries: self.group(&tables, spec)?,
             },
             contributed,
         ))
@@ -355,50 +359,115 @@ impl Service {
         }
     }
 
-    /// `GROUP BY spec` over one table through the shared projector
-    /// cache — the service's hot loop. Matches
-    /// [`FlowTable::query_partial`]'s aggregation exactly (same
-    /// projector output, same u64 sums), so sorting the groups yields
-    /// [`FlowTable::query_all_entries`]'s rows bit-for-bit.
-    // LINT: hot
-    fn aggregate(&self, table: &FlowTable, spec: &KeySpec) -> Option<FastMap<KeyBytes, u64>> {
-        let full = table.full_spec();
-        if !spec.is_partial_of(full) {
-            return None;
-        }
-        let proj = self.projectors.projector(full, spec);
-        let hint = {
-            let bits = spec.cardinality_bits();
-            if bits >= usize::BITS - 1 {
-                table.len()
-            } else {
-                table.len().min(1usize << bits)
-            }
-        };
-        let mut groups: FastMap<KeyBytes, u64> = fast_map_with_capacity(hint);
-        let mut scratch = KeyBytes::EMPTY;
-        for (full_key, size) in table.rows() {
-            proj.project_into(full_key, &mut scratch);
-            *groups.entry(scratch).or_insert(0) += size;
-        }
-        Some(groups)
+    /// `GROUP BY spec` over the rows of `tables` as one answer: sizes
+    /// the kernel's buffer for every row, runs [`aggregate`], and
+    /// reads the groups back as sorted entries. `None` when `spec` is
+    /// not a partial key of some table's full key, or a group's size
+    /// overflows `u64`.
+    ///
+    /// [`aggregate`]: Self::aggregate
+    fn group(&self, tables: &[&FlowTable], spec: &KeySpec) -> Option<Vec<(KeyBytes, u64)>> {
+        let rows = tables.iter().map(|t| t.len()).sum();
+        let mut groups = GroupBy::with_rows(spec.encoded_len(), rows);
+        self.aggregate(tables, spec, &mut groups)?;
+        Some(groups.entries())
     }
-}
 
-/// Drain a group map into the sorted-entry shape
-/// ([`FlowTable::query_all_entries`]'s comparator: lexicographic key
-/// bytes; keys are unique, so the order is total and deterministic).
-fn sorted_entries(groups: &mut FastMap<KeyBytes, u64>) -> Vec<(KeyBytes, u64)> {
-    let mut entries: Vec<(KeyBytes, u64)> = groups.drain().collect();
-    entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-    entries
+    /// The service's hot loop: project every row of `tables` into
+    /// `groups` through the shared projector cache, then sort and sum
+    /// in place. Same projector output and same `u64` sums as
+    /// [`FlowTable::query_partial`], and the groups come out in
+    /// [`FlowTable::query_all_entries`]'s order, so answers match it
+    /// bit for bit.
+    // LINT: hot
+    fn aggregate(&self, tables: &[&FlowTable], spec: &KeySpec, groups: &mut GroupBy) -> Option<()> {
+        for table in tables {
+            let full = table.full_spec();
+            if !spec.is_partial_of(full) {
+                return None;
+            }
+            groups.project(table.rows(), &self.projectors.projector(full, spec));
+        }
+        groups.sort_and_sum()
+    }
 }
 
 #[cfg(test)]
 #[cfg(not(feature = "loom"))]
 mod tests {
     use super::*;
+    use hashkit::FastMap;
     use traffic::FiveTuple;
+
+    /// A group map in the served answers' order: key bytes ascending.
+    fn sorted_entries(groups: &mut FastMap<KeyBytes, u64>) -> Vec<(KeyBytes, u64)> {
+        let mut entries: Vec<(KeyBytes, u64)> = groups.drain().collect();
+        entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+        entries
+    }
+
+    /// The reference for a window: the per-key sum of every epoch's
+    /// `query_partial` map, in key byte order.
+    fn summed_partials(epochs: &[Epoch], spec: &KeySpec) -> Vec<(KeyBytes, u64)> {
+        let mut sums: FastMap<KeyBytes, u64> = FastMap::default();
+        for e in epochs {
+            for (k, v) in e.primary().query_partial(spec) {
+                *sums.entry(k).or_insert(0) += v;
+            }
+        }
+        sorted_entries(&mut sums)
+    }
+
+    /// A random five-tuple table of `rows` rows over a key space of
+    /// `space` flows, so small spaces repeat full keys.
+    fn random_epoch(id: u64, rows: usize, space: u64, seed: u64) -> Epoch {
+        let full = KeySpec::FIVE_TUPLE;
+        let mut rng = hashkit::XorShift64Star::new(seed);
+        let table = FlowTable::new(
+            full,
+            (0..rows)
+                .map(|_| {
+                    let flow = rng.next_u64() % space;
+                    let x = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let key = full.project(&FiveTuple::new(
+                        (x >> 32) as u32,
+                        (x >> 7) as u32,
+                        (x >> 20) as u16,
+                        (x >> 44) as u16,
+                        if x & 1 == 0 { 6 } else { 17 },
+                    ));
+                    (key, rng.next_u64() % 10_000 + 1)
+                })
+                .collect(),
+        );
+        let weight = table.total();
+        Epoch {
+            id,
+            packets: rows as u64,
+            weight,
+            tables: vec![table],
+        }
+    }
+
+    /// The paper's six keys, the empty key, and specs of every kernel
+    /// word width (narrow below 9 bytes, wide above).
+    fn query_specs() -> Vec<KeySpec> {
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.extend([
+            KeySpec::EMPTY,
+            KeySpec::src_prefix(13),
+            KeySpec::src_dst_prefix(20, 7),
+            KeySpec {
+                proto: true,
+                ..KeySpec::DST_IP_PORT
+            },
+            KeySpec {
+                src_port: true,
+                ..KeySpec::SRC_DST
+            },
+        ]);
+        specs
+    }
 
     fn epoch(id: u64, rows: u32, salt: u32) -> Epoch {
         let full = KeySpec::FIVE_TUPLE;
@@ -429,15 +498,66 @@ mod tests {
 
     #[test]
     fn partial_matches_query_all_entries() {
+        // A small table, distinct random keys, heavy duplication, and
+        // one table large enough that the reference takes its parallel
+        // scan.
+        let tables = [
+            epoch(0, 500, 3),
+            random_epoch(1, 3_000, u64::MAX, 1),
+            random_epoch(2, 3_000, 500, 2),
+            random_epoch(3, 70_000, 40_000, 3),
+        ];
         let (mut publisher, svc) = service(4);
-        publisher.publish_epoch(epoch(0, 500, 3));
-        let held = svc.snapshot(Select::Id(0)).unwrap();
-        for spec in KeySpec::PAPER_SIX {
-            let served = svc.partial(Select::Id(0), &spec).unwrap();
-            let direct = held.primary().query_all_entries(&[spec]);
-            assert_eq!(served.entries, direct[0], "{spec:?}");
-            assert_eq!(served.epoch, 0);
+        for e in &tables {
+            publisher.publish_epoch(e.clone());
         }
+        for e in &tables {
+            let held = svc.snapshot(Select::Id(e.id)).unwrap();
+            for spec in query_specs() {
+                let served = svc.partial(Select::Id(e.id), &spec).unwrap();
+                let direct = held.primary().query_all_entries(&[spec]);
+                assert_eq!(served.entries, direct[0], "epoch {} {spec}", e.id);
+                assert_eq!(served.epoch, e.id);
+                if spec == KeySpec::EMPTY {
+                    assert_eq!(served.entries, vec![(KeyBytes::EMPTY, e.weight)]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_sums_that_overflow_answer_none() {
+        let full = KeySpec::FIVE_TUPLE;
+        // Two flows of one source: their sizes sum past u64::MAX under
+        // SrcIP, but not under the full key.
+        let a = full.project(&FiveTuple::new(7, 1, 1, 1, 6));
+        let b = full.project(&FiveTuple::new(7, 2, 1, 1, 6));
+        let table = |rows| Epoch {
+            id: 0,
+            packets: 2,
+            weight: u64::MAX,
+            tables: vec![FlowTable::new(full, rows)],
+        };
+        let (mut publisher, svc) = service(4);
+        publisher.publish_epoch(table(vec![(a, u64::MAX), (b, 1)]));
+        assert!(svc.partial(Select::Latest, &KeySpec::SRC_IP).is_none());
+        assert!(svc.partial(Select::Latest, &KeySpec::EMPTY).is_none());
+        let fine = svc.partial(Select::Latest, &full).unwrap();
+        assert_eq!(fine.entries, vec![(a, u64::MAX), (b, 1)]);
+        // Across epochs too: each epoch alone fits, their window does not.
+        publisher.publish_epoch(Epoch {
+            id: 1,
+            ..table(vec![(a, 1)])
+        });
+        assert!(svc.window(0, 1, &full).is_none());
+        assert!(svc.window(1, 1, &full).is_some());
+        // On the wire an overflow is an error answer.
+        let request = crate::wire::Request::Partial(Select::Id(0), KeySpec::SRC_IP);
+        let response = crate::wire::respond(&svc, &request);
+        assert!(
+            matches!(response, crate::wire::Response::Error(_)),
+            "{response:?}"
+        );
     }
 
     #[test]
@@ -604,6 +724,47 @@ mod tests {
             }
         }
         assert_eq!(partial_ans.entries, sorted_entries(&mut expect));
+        assert_eq!(svc.info().cold_errors, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn window_over_warm_cold_and_bucketed_epochs_sums_partials() {
+        use cocosketch::segment::{CompactionPolicy, EpochDir};
+        let root = std::env::temp_dir().join(format!("serve-mixed-win-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (mut dir, _) = EpochDir::open(&root).unwrap();
+        let (mut publisher, svc) = service_with_cold(2, DirReader::new(&root));
+        let epochs: Vec<Epoch> = (0..7u64)
+            .map(|id| random_epoch(id, 400, 300 + 40 * id, 10 + id))
+            .collect();
+        for e in &epochs {
+            dir.append(e).unwrap();
+            publisher.publish_epoch(e.clone());
+        }
+        // Horizon 6 - 2 = 4: ids 0..=3 fold into buckets [0-1] and
+        // [2-3]; 4 stays a cold single; 5 and 6 are warm.
+        dir.compact(&CompactionPolicy {
+            bucket: 2,
+            keep_recent: 2,
+        })
+        .unwrap();
+        assert_eq!(dir.len(), 5);
+        assert_eq!(svc.info().ids, Some((5, 6)));
+        for spec in query_specs() {
+            let (answer, contributed) = svc.window(0, 6, &spec).unwrap();
+            assert_eq!(contributed, 7);
+            assert_eq!(answer.epoch, 6);
+            assert_eq!(answer.entries, summed_partials(&epochs, &spec), "{spec}");
+            // Cold single plus warm epochs, without the buckets.
+            let (answer, contributed) = svc.window(4, 6, &spec).unwrap();
+            assert_eq!(contributed, 3);
+            assert_eq!(
+                answer.entries,
+                summed_partials(&epochs[4..], &spec),
+                "{spec}"
+            );
+        }
         assert_eq!(svc.info().cold_errors, 0);
         std::fs::remove_dir_all(&root).ok();
     }

@@ -64,29 +64,36 @@ impl KeyBytes {
         &self.buf[..self.len as usize] // LINT: bounded(len <= MAX_KEY_BYTES is the type invariant)
     }
 
-    /// The full backing array. Bytes past [`len`](Self::len) are always
-    /// zero (an invariant every constructor and in-place writer keeps,
-    /// and which `PartialEq`/`Hash` — derived over the whole array —
-    /// rely on). Used by the compiled projector, whose byte-gather plan
-    /// reads fixed positions regardless of the key's length.
+    /// The key as one big-endian integer: byte 0 is the top byte.
+    ///
+    /// Bytes past [`len`](Self::len) are always zero (an invariant
+    /// every constructor keeps, and which `PartialEq`/`Hash` — derived
+    /// over the whole array — rely on), so for keys of one length the
+    /// order of their words is the order of their bytes. The compiled
+    /// projector and the query plane's group-by sort work on words.
     #[inline]
-    pub(crate) fn raw(&self) -> &[u8; MAX_KEY_BYTES] {
-        &self.buf
+    pub fn word(&self) -> u128 {
+        u128::from_be_bytes(self.buf)
     }
 
-    /// Mutable access to the backing array for in-place encoders
-    /// (`Projector::project_into`). Callers must re-establish the
-    /// zero-tail invariant before the key is next compared or hashed.
+    /// The key of length `len` whose leading bytes are `word`'s top
+    /// `len` bytes: the inverse of [`word`](Self::word). Bytes past
+    /// `len` are zeroed, whatever `word` holds there.
+    ///
+    /// # Panics
+    /// Panics if `len > MAX_KEY_BYTES`, like [`KeyBytes::new`].
     #[inline]
-    pub(crate) fn raw_mut(&mut self) -> &mut [u8; MAX_KEY_BYTES] {
-        &mut self.buf
-    }
-
-    /// Set the encoded length without touching the bytes.
-    #[inline]
-    pub(crate) fn set_len(&mut self, len: u8) {
-        debug_assert!(usize::from(len) <= MAX_KEY_BYTES);
-        self.len = len;
+    pub fn from_word(word: u128, len: usize) -> Self {
+        assert!(
+            len <= MAX_KEY_BYTES,
+            "key of {len} bytes exceeds MAX_KEY_BYTES"
+        );
+        let tail_bits = 8 * (MAX_KEY_BYTES - len) as u32;
+        let keep = u128::MAX.checked_shl(tail_bits).unwrap_or(0);
+        Self {
+            len: len as u8,
+            buf: (word & keep).to_be_bytes(),
+        }
     }
 
     /// Encoded length in bytes.
@@ -216,6 +223,40 @@ mod tests {
     fn display_is_human_readable() {
         let ft = FiveTuple::new(0x0A000001, 0x08080808, 1234, 53, 17);
         assert_eq!(ft.to_string(), "10.0.0.1:1234 -> 8.8.8.8:53 proto 17");
+    }
+
+    #[test]
+    fn words_roundtrip_and_zero_the_tail() {
+        let mut x = 0x5EED_u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        for len in 0..=MAX_KEY_BYTES {
+            for _ in 0..64 {
+                let bytes: Vec<u8> = (0..len).map(|_| (next() >> 56) as u8).collect();
+                let key = KeyBytes::new(&bytes);
+                assert_eq!(KeyBytes::from_word(key.word(), key.len()), key);
+                // Random low bytes never leak into the key.
+                let word = u128::from(next()) << 64 | u128::from(next());
+                let back = KeyBytes::from_word(word, len);
+                assert_eq!(back.len(), len);
+                assert_eq!(back.as_slice(), &word.to_be_bytes()[..len]);
+                assert_eq!(back, KeyBytes::new(back.as_slice()), "tail zeroed");
+            }
+        }
+        // Word order is byte order for keys of one length.
+        let a = FiveTuple::new(1, 2, 3, 4, 6).encode();
+        let b = FiveTuple::new(1, 2, 3, 5, 0).encode();
+        assert!(a.as_slice() < b.as_slice() && a.word() < b.word());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_KEY_BYTES")]
+    fn oversized_word_key_panics() {
+        let _ = KeyBytes::from_word(0, MAX_KEY_BYTES + 1);
     }
 
     #[test]

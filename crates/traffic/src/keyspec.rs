@@ -262,9 +262,10 @@ impl KeySpec {
     }
 
     /// Compile the projection `g(·)` from `full`-encoded keys down to
-    /// this (partial) spec: a byte gather-and-mask plan built once per
-    /// `(full, partial)` pair and applied per key with no [`FiveTuple`]
-    /// decode, no allocation, and no branching over the spec structure.
+    /// this (partial) spec: a shift-and-mask plan over the key's
+    /// [`word`](KeyBytes::word), built once per `(full, partial)` pair
+    /// and applied per key with no [`FiveTuple`] decode, no allocation,
+    /// and no branching over the spec structure.
     ///
     /// # Panics
     /// Panics unless `self.is_partial_of(full)`.
@@ -273,46 +274,41 @@ impl KeySpec {
             self.is_partial_of(full),
             "{self:?} is not a partial key of {full:?}"
         );
-        let mut src = [0u8; MAX_KEY_BYTES];
-        let mut mask = [0u8; MAX_KEY_BYTES];
-        // Field offsets within the full-key encoding (fields are laid
-        // out in declaration order; IPs occupy 4 bytes whenever any
-        // prefix of them is present).
-        let src_ip_at = 0usize;
-        let dst_ip_at = src_ip_at + if full.src_ip_bits > 0 { 4 } else { 0 };
-        let src_port_at = dst_ip_at + if full.dst_ip_bits > 0 { 4 } else { 0 };
-        let dst_port_at = src_port_at + if full.src_port { 2 } else { 0 };
-        let proto_at = dst_port_at + if full.dst_port { 2 } else { 0 };
-
-        let mut n = 0usize;
-        let mut field = |at: usize, width: usize, field_mask: &[u8]| {
-            for i in 0..width {
-                src[n + i] = (at + i) as u8; // LINT: bounded(n + width tracks encoded_len() <= MAX_KEY_BYTES)
-                mask[n + i] = field_mask[i]; // LINT: bounded(same n + width bound; i < width = field_mask.len())
+        let keep = |on: bool, mask: u32| if on { mask } else { 0 };
+        // Per field, in encoding order: its width in bytes, whether the
+        // full key carries it, and the bits of it this key keeps (0 when
+        // this key drops the field).
+        let fields: [(u32, bool, u32); RUNS] = [
+            (4, full.src_ip_bits > 0, prefix_mask(self.src_ip_bits)),
+            (4, full.dst_ip_bits > 0, prefix_mask(self.dst_ip_bits)),
+            (2, full.src_port, keep(self.src_port, 0xFFFF)),
+            (2, full.dst_port, keep(self.dst_port, 0xFFFF)),
+            (1, full.proto, keep(self.proto, 0xFF)),
+        ];
+        let mut shifts = [0u32; RUNS];
+        let mut masks = [0u128; RUNS];
+        // `at` walks the full key's byte offsets, `n` this key's. A kept
+        // field moves from `at` up to `n <= at`: a left shift of the word.
+        let (mut at, mut n) = (0u32, 0u32);
+        for ((width, in_full, kept), (shift, mask)) in fields
+            .into_iter()
+            .zip(shifts.iter_mut().zip(masks.iter_mut()))
+        {
+            if kept != 0 {
+                *shift = 8 * (at - n);
+                *mask = u128::from(kept) << (128 - 8 * (n + width));
+                n += width;
             }
-            n += width;
-        };
-        if self.src_ip_bits > 0 {
-            field(src_ip_at, 4, &prefix_mask(self.src_ip_bits).to_be_bytes());
+            if in_full {
+                at += width;
+            }
         }
-        if self.dst_ip_bits > 0 {
-            field(dst_ip_at, 4, &prefix_mask(self.dst_ip_bits).to_be_bytes());
-        }
-        if self.src_port {
-            field(src_port_at, 2, &[0xFF; 2]);
-        }
-        if self.dst_port {
-            field(dst_port_at, 2, &[0xFF; 2]);
-        }
-        if self.proto {
-            field(proto_at, 1, &[0xFF; 1]);
-        }
-        debug_assert_eq!(n, self.encoded_len());
+        debug_assert_eq!(n as usize, self.encoded_len());
         Projector {
             full_len: full.encoded_len() as u8,
             out_len: n as u8,
-            src,
-            mask,
+            shifts,
+            masks,
         }
     }
 
@@ -343,27 +339,30 @@ impl KeySpec {
     }
 }
 
+/// Fields of a 5-tuple key, and so the most runs a [`Projector`] has.
+const RUNS: usize = 5;
+
 /// A compiled projection plan from one key encoding to another — the
 /// query-plane hot path of `g(·)`.
 ///
-/// [`KeySpec::projector`] lowers a `(full, partial)` spec pair into a
-/// per-output-byte gather-and-mask table: output byte `i` is full-key
-/// byte `src[i]` ANDed with `mask[i]`. Applying the plan is a fixed
-/// [`MAX_KEY_BYTES`]-iteration loop — branch-free over the spec
-/// structure, allocation-free, and trivially unrollable — so a query
-/// scan pays per row only the bytes it copies, not a [`FiveTuple`]
-/// decode/re-encode round trip.
-///
-/// Bytes at or past the output length have `mask[i] == 0`, which both
-/// keeps the gather in bounds (index 0 is always valid) and
-/// re-establishes [`KeyBytes`]'s zero-tail invariant when a scratch key
-/// is reused across projections of different widths.
+/// [`KeySpec::projector`] lowers a `(full, partial)` spec pair into one
+/// run per field of the 5-tuple: output word `|=` (input word `<<`
+/// shift) `&` mask, over the keys' big-endian
+/// [`word`](KeyBytes::word)s. A field the partial key keeps moves up
+/// past the fields it drops, so its shift is 8 × the bytes dropped
+/// before it, and its mask keeps its prefix bits at their new place; a
+/// dropped field's run has mask 0. Applying the plan is five fixed
+/// shift-and-mask steps on one `u128` — branch-free over the spec
+/// structure and allocation-free — so a query scan pays per row a few
+/// integer operations, not a [`FiveTuple`] decode/re-encode round trip.
+/// Every mask lies inside the output length, so projected words keep
+/// [`KeyBytes`]'s zero tail.
 #[derive(Clone, Copy, Debug)]
 pub struct Projector {
     full_len: u8,
     out_len: u8,
-    src: [u8; MAX_KEY_BYTES],
-    mask: [u8; MAX_KEY_BYTES],
+    shifts: [u32; RUNS],
+    masks: [u128; RUNS],
 }
 
 impl Projector {
@@ -379,6 +378,17 @@ impl Projector {
         usize::from(self.out_len)
     }
 
+    /// Project a full key's [`word`](KeyBytes::word) to the partial
+    /// key's word: [`project`](Self::project) without the key wrapper,
+    /// for callers that sort and group words directly.
+    #[inline]
+    pub fn project_word(&self, word: u128) -> u128 {
+        self.shifts
+            .iter()
+            .zip(&self.masks)
+            .fold(0, |out, (&shift, &mask)| out | ((word << shift) & mask))
+    }
+
     /// Project `key` into the caller-owned `out`, overwriting it.
     ///
     /// `out` may be any scratch [`KeyBytes`] (typically reused across a
@@ -390,12 +400,7 @@ impl Projector {
             self.full_len(),
             "key width does not match the projector's full-key spec"
         );
-        let src_buf = key.raw();
-        let out_buf = out.raw_mut();
-        for i in 0..MAX_KEY_BYTES {
-            out_buf[i] = src_buf[usize::from(self.src[i])] & self.mask[i]; // LINT: bounded(i < MAX_KEY_BYTES, every array here is [u8; MAX_KEY_BYTES], and src entries are < full_len)
-        }
-        out.set_len(self.out_len);
+        *out = KeyBytes::from_word(self.project_word(key.word()), self.out_len());
     }
 
     /// Project `key` into a fresh [`KeyBytes`].
@@ -413,29 +418,22 @@ impl Projector {
     /// sit adjacent.
     ///
     /// That holds exactly when the plan keeps a leading run of the
-    /// input's bits in place: every byte it emits is gathered from the
-    /// same position it came from (`src[i] == i`), and the concatenated
-    /// mask is one contiguous high-bit prefix (`0xFF… 0xF0 0x00…`-style)
-    /// — then projection is the floor function onto that bit prefix,
-    /// which is order-preserving. Prefix hierarchies over a common field
-    /// order (e.g. SrcIP/32 → SrcIP/24) qualify; field-reordering
-    /// projections (e.g. (SrcIP, DstIP) → DstIP) do not.
+    /// input's bits in place: every kept field stays where it was
+    /// (shift 0), and the kept bits together form one high-bit prefix
+    /// of the word — then projection is the floor function onto that
+    /// bit prefix, which is order-preserving. Prefix hierarchies over a
+    /// common field order (e.g. SrcIP/32 → SrcIP/24) qualify;
+    /// field-reordering projections (e.g. (SrcIP, DstIP) → DstIP) do
+    /// not.
     pub fn preserves_order(&self) -> bool {
-        let mut seen_partial = false;
-        for i in 0..MAX_KEY_BYTES {
-            let m = self.mask[i]; // LINT: bounded(i < MAX_KEY_BYTES = mask.len())
-                                  // LINT: bounded(i < MAX_KEY_BYTES = src.len())
-            if m != 0 && (seen_partial || usize::from(self.src[i]) != i) {
+        let mut kept = 0u128;
+        for (&shift, &mask) in self.shifts.iter().zip(&self.masks) {
+            if mask != 0 && shift != 0 {
                 return false;
             }
-            if m.leading_ones() + m.trailing_zeros() != 8 {
-                return false; // not a high-bit prefix within the byte
-            }
-            if m != 0xFF {
-                seen_partial = true;
-            }
+            kept |= mask;
         }
-        true
+        kept.leading_ones() + kept.trailing_zeros() == 128
     }
 }
 
@@ -588,6 +586,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every spec with a partial of each field of `full`: IP prefixes
+    /// 0..=its own, ports and protocol on or off where it has them.
+    fn lattice(full: &KeySpec) -> Vec<KeySpec> {
+        let mut specs = Vec::new();
+        for src_ip_bits in 0..=full.src_ip_bits {
+            for dst_ip_bits in 0..=full.dst_ip_bits {
+                for flags in 0..8u8 {
+                    let spec = KeySpec {
+                        src_ip_bits,
+                        dst_ip_bits,
+                        src_port: flags & 1 != 0,
+                        dst_port: flags & 2 != 0,
+                        proto: flags & 4 != 0,
+                    };
+                    if spec.is_partial_of(full) {
+                        specs.push(spec);
+                    }
+                }
+            }
+        }
+        specs
+    }
+
+    /// `keys` seeded keys of `full`, with every field drawn at random.
+    fn seeded_keys(full: &KeySpec, keys: usize, seed: u64) -> Vec<KeyBytes> {
+        let mut x = seed;
+        (0..keys)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let y = x.rotate_left(29) ^ x;
+                full.project(&FiveTuple::new(
+                    (x >> 32) as u32,
+                    y as u32,
+                    (x >> 8) as u16,
+                    (y >> 40) as u16,
+                    (x >> 3) as u8,
+                ))
+            })
+            .collect()
+    }
+
+    /// The word plan and the decode/re-encode reference agree on every
+    /// spec of `full`'s lattice, for `keys` seeded keys each.
+    fn check_word_projection(full: &KeySpec, keys: usize) -> usize {
+        let specs = lattice(full);
+        let keys = seeded_keys(full, keys, 0xC0C0 ^ u64::from(full.src_ip_bits));
+        for spec in &specs {
+            let proj = spec.projector(full);
+            for key in &keys {
+                let via_word = KeyBytes::from_word(proj.project_word(key.word()), proj.out_len());
+                assert_eq!(
+                    via_word,
+                    spec.project(&full.decode(key)),
+                    "{spec} of {full}"
+                );
+            }
+        }
+        specs.len()
+    }
+
+    #[test]
+    fn word_projection_matches_decode_over_the_five_tuple_lattice() {
+        assert_eq!(check_word_projection(&KeySpec::FIVE_TUPLE, 64), 33 * 33 * 8);
+    }
+
+    #[test]
+    fn word_projection_matches_decode_under_narrower_full_keys() {
+        assert_eq!(check_word_projection(&KeySpec::SRC_DST, 16), 33 * 33);
+        assert_eq!(check_word_projection(&KeySpec::src_prefix(24), 16), 25);
     }
 
     #[test]
