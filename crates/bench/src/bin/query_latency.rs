@@ -5,18 +5,18 @@
 //! partial-key query sets over it:
 //!
 //! 1. **per-spec scan** — one [`FlowTable::query_partial`] pass per
-//!    spec (the pre-engine baseline; already projector-compiled);
+//!    spec (the hash-map reference; already projector-compiled);
 //! 2. **engine** — [`FlowTable::query_all`] over the paper's six keys,
-//!    the path `Pipeline::estimates` takes;
-//! 3. **hierarchy rollup (maps)** — [`FlowTable::query_rollup`] over
-//!    the 33-level source-IP hierarchy: one scan for /32, every coarser
-//!    level merged linearly from its parent's shrinking sorted result,
-//!    each level materialized as a hash map;
-//! 4. **hierarchy rollup (sorted entries)** —
-//!    [`FlowTable::query_all_entries`], the same rollup in its native
-//!    sorted-entry shape (what the HHH task consumes), which never
-//!    builds a per-level hash table. This is the headline
-//!    `rollup_speedup`.
+//!    the path `Pipeline::estimates` takes for Figs 8–10;
+//! 3. **hierarchy rollup (maps)** — [`FlowTable::query_all`] over the
+//!    33-level source-IP hierarchy: one group-by sort for /32, every
+//!    coarser level summed from its parent's shrinking words, each
+//!    level built into a hash map. This is the path Figs 11 and 12
+//!    score;
+//! 4. **hierarchy rollup (sorted entries)** — [`FlowTable::rollup`],
+//!    the same rollup in its native sorted-entry shape (what the wire
+//!    `Multi` request answers), which never builds a per-level hash
+//!    table. This is the headline `rollup_speedup`.
 //!
 //! Every path is asserted bit-identical to the per-spec baseline before
 //! any number is reported. Output is one JSON document, printed to
@@ -107,34 +107,21 @@ fn main() {
 
     // Bit-identity first, untimed: every engine path must agree with
     // the per-spec baseline before any number is reported.
-    {
-        let base_six = per_spec(&six);
-        assert_eq!(
-            table.query_all(&six),
-            base_six,
-            "engine must be bit-identical"
-        );
-        drop(base_six);
-        let base_h = per_spec(&hierarchy);
-        assert_eq!(
-            table.query_rollup(&hierarchy),
-            base_h,
-            "rollup must be bit-identical"
-        );
-        let base_h_sorted: Vec<Vec<(KeyBytes, u64)>> = base_h
-            .iter()
-            .map(|m| {
-                let mut rows: Vec<(KeyBytes, u64)> = m.iter().map(|(k, &v)| (*k, v)).collect();
-                rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-                rows
-            })
-            .collect();
-        assert_eq!(
-            table.query_all_entries(&hierarchy),
-            base_h_sorted,
-            "sorted-entry rollup must be bit-identical"
-        );
-    }
+    assert_eq!(
+        table.query_all(&six),
+        Some(per_spec(&six)),
+        "engine must be bit-identical"
+    );
+    assert_eq!(
+        table.query_all(&hierarchy),
+        Some(per_spec(&hierarchy)),
+        "rollup to maps must be bit-identical"
+    );
+    assert_eq!(
+        table.rollup(&hierarchy),
+        Some(table.query_all_entries(&hierarchy)),
+        "sorted-entry rollup must be bit-identical"
+    );
 
     // Timing: best-of-REPS with the paths interleaved round-robin, so
     // slow drift of the host (page cache, allocator arenas, noisy
@@ -148,8 +135,8 @@ fn main() {
         t_six_scan = t_six_scan.min(time_once(|| per_spec(&six)));
         t_six_engine = t_six_engine.min(time_once(|| table.query_all(&six)));
         t_h_scan = t_h_scan.min(time_once(|| per_spec(&hierarchy)));
-        t_h_rollup = t_h_rollup.min(time_once(|| table.query_rollup(&hierarchy)));
-        t_h_entries = t_h_entries.min(time_once(|| table.query_all_entries(&hierarchy)));
+        t_h_rollup = t_h_rollup.min(time_once(|| table.query_all(&hierarchy)));
+        t_h_entries = t_h_entries.min(time_once(|| table.rollup(&hierarchy)));
     }
 
     let engine_speedup = t_six_scan / t_six_engine;
@@ -181,9 +168,10 @@ fn main() {
          \"rollup_speedup\": {rollup_speedup:.3},\n  \
          \"note\": \"all engine paths asserted bit-identical to per-spec query_partial before timing \
          is reported; ns_per_row is whole-query-set nanoseconds divided by table rows; rollup_speedup \
-         compares the 33-level hierarchy answered as sorted entries (the shape the HHH task consumes) \
-         against 33 per-spec scans, rollup_maps_speedup is the same rollup materialized as per-level \
-         hash maps; engine_speedup is the path Pipeline::estimates takes\"\n}}\n",
+         compares the 33-level hierarchy answered as sorted entries (the shape of a wire Multi answer) \
+         against 33 per-spec scans, rollup_maps_speedup is the same rollup built into per-level \
+         hash maps (the path fig11 and fig12 score); engine_speedup is the path Pipeline::estimates \
+         takes for the six flat keys\"\n}}\n",
         six.len(),
         hierarchy.len(),
         args.seed,

@@ -26,49 +26,35 @@
 //!   `g(·)` is lowered once into a branch-free shift-and-mask plan over
 //!   the key's big-endian word, so the per-row cost is a few integer
 //!   operations instead of a `FiveTuple` decode/re-encode round trip.
-//! - **One group-by kernel** ([`GroupBy`]): the query service's answers
-//!   (one table, or every table of a cross-epoch window) and
-//!   compaction's [`FlowTable::merged`] project rows to integer words,
-//!   sort them once and sum equal neighbours. On measured tables
-//!   almost every row is its own group (a 23,259-row epoch gives
-//!   23,096–23,259 groups for each of the six paper keys), so a hash
-//!   map merges almost nothing and the answer is, in effect, one sort
-//!   of the table; sorting plain integers instead of comparing byte
-//!   slices is what makes that sort cheap.
+//! - **One group-by kernel** ([`GroupBy`]): every answer — the query
+//!   service's (one table, or every table of a cross-epoch window),
+//!   each level of the hierarchy rollup, and compaction's
+//!   [`FlowTable::merged`] — projects rows to integer words, sorts them
+//!   once and sums equal neighbours. On measured tables almost every
+//!   row is its own group (a 23,259-row epoch gives 23,096–23,259
+//!   groups for each of the six paper keys), so a hash map merges
+//!   almost nothing and the answer is, in effect, one sort of the
+//!   table; sorting plain integers instead of comparing byte slices is
+//!   what makes that sort cheap.
+//! - **Hierarchy rollup** ([`FlowTable::rollup`], and
+//!   [`FlowTable::query_all`] in map shape): when one spec is a partial
+//!   key of another *in the same query set*, its groups are summed
+//!   from the ancestor's (much smaller) summed words instead of the
+//!   table's rows. Projection composes (`g_{P2←F} = g_{P2←P1} ∘
+//!   g_{P1←F}`) and per-key sums are exact `u64` additions, so every
+//!   level is bit-identical to direct projection — a 33-level prefix
+//!   hierarchy costs one sort of the table plus 32 linear passes over
+//!   shrinking levels: a prefix projection keeps the ancestor's word
+//!   order, so equal keys are already adjacent and only a
+//!   field-reordering projection sorts again.
 //! - **Reference scans** ([`FlowTable::query_partial`],
-//!   [`FlowTable::query_all`], [`FlowTable::query_all_entries`]): one
-//!   hash-map scan per root spec. They are kept apart from the kernel
-//!   on purpose: the service's tests and benches check its answers
-//!   against these, so every such check compares two independent
-//!   group-bys.
-//! - **Hierarchy rollup** ([`FlowTable::query_rollup`]): when one spec
-//!   is a partial key of another *in the same query set*, its result is
-//!   aggregated from the ancestor's (much smaller) result map instead
-//!   of rescanning the table. Projection composes (`g_{P2←F} =
-//!   g_{P2←P1} ∘ g_{P1←F}`) and per-key sums are exact `u64` additions,
-//!   so rollup output is bit-identical to direct projection — a 33-level
-//!   prefix hierarchy costs 1 scan + 32 rollups over shrinking maps.
-//!   Rollup runs over *sorted* parent entries: prefix projection is
-//!   monotone in key-byte order, so each level is a linear adjacent
-//!   merge and hashing is paid only to materialize each level's result
-//!   map (once per output group, not once per row per level).
-//! - **Parallel scan** (inside [`FlowTable::query_all`] and
-//!   [`FlowTable::query_rollup_threads`]): each scanned spec of a large
-//!   table chunks its rows across scoped worker threads, aggregates
-//!   into thread-local maps, and merges by addition. Integer sums are
-//!   associative and commutative, so the merged result is exact and
-//!   independent of chunking and scheduling.
+//!   [`FlowTable::query_all_entries`]): one hash-map scan per spec.
+//!   They are kept apart from the kernel on purpose: the tests and
+//!   benches check the kernel's answers against these, so every such
+//!   check compares two independent group-bys.
 
-use hashkit::{fast_map_with_capacity, invariant, FastMap};
+use hashkit::{fast_map_with_capacity, FastMap};
 use traffic::{KeyBytes, KeySpec, Projector};
-
-/// Row count above which [`FlowTable::query_all`] switches the base
-/// scan to the parallel path (when more than one CPU is available).
-const PARALLEL_SCAN_MIN_ROWS: usize = 1 << 16;
-
-/// Cap on auto-selected scan threads; beyond this the per-thread maps'
-/// merge cost outweighs the scan speedup for typical table sizes.
-const PARALLEL_SCAN_MAX_THREADS: usize = 8;
 
 /// The recorded `(full key, estimated size)` table of one measurement
 /// window, plus the full-key spec needed to project records onto
@@ -154,293 +140,93 @@ impl FlowTable {
         out
     }
 
-    /// Answer a set of related specs (e.g. a prefix hierarchy) with
-    /// **rollup**: a spec that is a partial key of an earlier spec in
-    /// the set is aggregated from that spec's (smaller) result map; the
-    /// remaining "root" specs are answered by one scan of the rows each.
-    ///
-    /// For the 33-level source-IP hierarchy this turns 33 × O(rows)
-    /// scans into 1 scan + 32 rollups over maps that shrink level by
-    /// level; for the 1089-level 2-d grid, all but one level roll up.
-    /// Output is bit-identical to per-spec
-    /// [`query_partial`](Self::query_partial): projection composes and
-    /// per-key sums are exact integer additions, so grouping through an
-    /// intermediate key changes neither the keys nor the sums.
-    ///
-    /// When a spec has several computed ancestors, the one with the
-    /// smallest result map wins. Ancestors must appear *before* their
-    /// descendants (hierarchies are ordered fine → coarse); specs with
-    /// no in-set ancestor are roots.
+    /// [`query_partial`](Self::query_partial) for each spec, as
+    /// `(partial key, size)` entries sorted by key bytes: the hash-map
+    /// reference that the kernel's answers ([`rollup`](Self::rollup),
+    /// the query service) are checked against, in their shape.
     ///
     /// # Panics
     /// Panics if any spec is not a partial key of the table's full key.
-    pub fn query_rollup(&self, specs: &[KeySpec]) -> Vec<FastMap<KeyBytes, u64>> {
-        self.query_rollup_threads(specs, 1)
-    }
-
-    /// [`query_rollup`](Self::query_rollup) with every row scan chunked
-    /// across `threads` workers. Each worker aggregates its contiguous
-    /// row chunk into a private map and the chunks merge by per-key
-    /// addition, so the result is exact — bit-identical to the
-    /// single-threaded scan, independent of chunk boundaries and
-    /// thread scheduling. `threads` is clamped to the row count;
-    /// `threads <= 1` scans inline.
-    ///
-    /// Rollup itself never touches a hash table on the read side: a
-    /// parent's result is sorted once (lexicographic key bytes) and
-    /// every descendant aggregates it linearly. Prefix projections are
-    /// monotone under that order ([`Projector::preserves_order`]), so a
-    /// sorted parent projects to a sorted child and equal keys merge as
-    /// adjacent runs; children inherit sortedness for free, and only
-    /// the final per-level result map pays hashing — once per output
-    /// entry instead of once per table row per level. Levels whose best
-    /// parent has not shrunk below half the table fall back to a direct
-    /// scan: there rollup saves almost no inserts but still pays the
-    /// sort and the copy.
-    pub fn query_rollup_threads(
-        &self,
-        specs: &[KeySpec],
-        threads: usize,
-    ) -> Vec<FastMap<KeyBytes, u64>> {
-        let (is_root, root_specs) = Self::split_roots(specs);
-        let mut root_maps = self.root_results(&root_specs, threads).into_iter();
-
-        let mut out: Vec<FastMap<KeyBytes, u64>> = Vec::with_capacity(specs.len());
-        // sorted[j] = out[j] as a key-sorted entry vector, built lazily
-        // the first time result j is used as a rollup parent; rolled
-        // children are born sorted, so theirs is kept as a byproduct.
-        let mut sorted: Vec<Option<Vec<(KeyBytes, u64)>>> = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            // LINT: bounded(i < specs.len() = is_root.len())
-            if is_root[i] {
-                out.push(
-                    root_maps
-                        .next()
-                        .unwrap_or_else(|| invariant::violated("one root result per root spec")),
-                );
-                sorted.push(None);
-                continue;
-            }
-            let parent = Self::best_parent(specs, i, |j| out[j].len()); // LINT: bounded(best_parent yields j < i = out.len())
-                                                                        // LINT: bounded(parent < i = out.len())
-            if out[parent].len() * 2 > self.rows.len() {
-                // The parent is barely smaller than the table itself:
-                // sorting it, merging, and materializing a near-equal
-                // map costs more than one fresh scan with a single hot
-                // result map. (The sorted-entry variant has no such
-                // cliff — it never materializes a map.)
-                out.push(self.scan_one(spec, threads));
-                sorted.push(None);
-                continue;
-            }
-            // LINT: bounded(parent < i = sorted.len())
-            let parent_rows: &[(KeyBytes, u64)] = sorted[parent].get_or_insert_with(|| {
-                let mut rows: Vec<(KeyBytes, u64)> =
-                    out[parent].iter().map(|(k, &v)| (*k, v)).collect(); // LINT: bounded(parent < i = out.len())
-                Self::sort_entries(&mut rows);
-                rows
-            });
-            let rolled = Self::roll_level(parent_rows, &spec.projector(&specs[parent])); // LINT: bounded(parent < i <= specs.len())
-            out.push(rolled.iter().copied().collect());
-            sorted.push(Some(rolled));
-        }
-        out
-    }
-
-    /// `is_root[i]` = `specs[i]` has no ancestor earlier in the set,
-    /// plus the root specs themselves; roots are answered from the rows
-    /// in one shared pass, everything else rolls up.
-    fn split_roots(specs: &[KeySpec]) -> (Vec<bool>, Vec<KeySpec>) {
-        let is_root: Vec<bool> = specs
+    pub fn query_all_entries(&self, specs: &[KeySpec]) -> Vec<Vec<(KeyBytes, u64)>> {
+        specs
             .iter()
-            .enumerate()
-            .map(|(i, spec)| !(0..i).any(|j| spec.is_partial_of(&specs[j]))) // LINT: bounded(j < i <= specs.len())
-            .collect();
-        let root_specs: Vec<KeySpec> = specs
-            .iter()
-            .zip(&is_root)
-            .filter(|&(_, &root)| root)
-            .map(|(s, _)| *s)
-            .collect();
-        (is_root, root_specs)
-    }
-
-    /// Answer the root specs of a rollup, one scan per spec (chunked
-    /// across `threads` when parallel).
-    fn root_results(&self, root_specs: &[KeySpec], threads: usize) -> Vec<FastMap<KeyBytes, u64>> {
-        root_specs
-            .iter()
-            .map(|spec| self.scan_one(spec, threads))
+            .map(|spec| {
+                let mut entries: Vec<(KeyBytes, u64)> =
+                    self.query_partial(spec).into_iter().collect();
+                entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+                entries
+            })
             .collect()
     }
 
-    /// One spec, one scan: the tight [`query_partial`](Self::query_partial)
-    /// loop inline, or the chunked parallel scan when workers are
-    /// available.
-    fn scan_one(&self, spec: &KeySpec, threads: usize) -> FastMap<KeyBytes, u64> {
-        let threads = threads.clamp(1, self.rows.len().max(1));
-        if threads == 1 {
-            self.query_partial(spec)
-        } else {
-            self.scan_parallel(spec, threads)
-        }
-    }
-
-    /// The chunked scan of [`scan_one`](Self::scan_one): `threads`
-    /// scoped workers (2 ≤ `threads` ≤ rows) each aggregate a
-    /// contiguous row chunk into a private map; the maps merge by
-    /// per-key addition in chunk order.
-    fn scan_parallel(&self, spec: &KeySpec, threads: usize) -> FastMap<KeyBytes, u64> {
-        let proj = self.compile(spec);
-        let chunk_len = self.rows.len().div_ceil(threads);
-        let locals: Vec<FastMap<KeyBytes, u64>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .rows
-                .chunks(chunk_len)
-                .map(|rows| {
-                    let proj = &proj;
-                    scope.spawn(move || {
-                        let mut map = fast_map_with_capacity(Self::capacity_hint(spec, rows.len()));
-                        let mut scratch = KeyBytes::EMPTY;
-                        for (full_key, size) in rows {
-                            proj.project_into(full_key, &mut scratch);
-                            *map.entry(scratch).or_insert(0) += size;
-                        }
-                        map
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| match w.join() {
-                    Ok(map) => map,
-                    // A worker panic is a bug in the scan itself;
-                    // re-raise it with its original payload.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut locals = locals.into_iter();
-        let mut merged = locals.next().unwrap_or_default();
-        for map in locals {
-            for (key, v) in map {
-                *merged.entry(key).or_insert(0) += v;
-            }
-        }
-        merged
-    }
-
-    /// The computed ancestor `specs[i]` rolls up from: of the earlier
-    /// specs it is a partial key of, the one with the smallest result.
-    fn best_parent(specs: &[KeySpec], i: usize, result_len: impl Fn(usize) -> usize) -> usize {
-        (0..i)
-            .filter(|&j| specs[i].is_partial_of(&specs[j])) // LINT: bounded(caller passes i < specs.len(); j < i)
-            .min_by_key(|&j| result_len(j))
-            .unwrap_or_else(|| invariant::violated("a non-root spec has an earlier ancestor"))
-    }
-
-    /// Sort entries by lexicographic key bytes — the order every rollup
-    /// level is kept in.
-    fn sort_entries(rows: &mut [(KeyBytes, u64)]) {
-        rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-    }
-
-    /// One rollup step: project the parent's sorted entries and merge
-    /// equal keys. Monotone (prefix-shaped) projections keep the parent
-    /// order, so merging is a linear `dedup` of adjacent runs;
-    /// field-reordering projections re-sort first. No hash table is
-    /// touched either way.
-    fn roll_level(parent: &[(KeyBytes, u64)], proj: &Projector) -> Vec<(KeyBytes, u64)> {
-        let mut rolled: Vec<(KeyBytes, u64)> =
-            parent.iter().map(|(k, v)| (proj.project(k), *v)).collect();
-        if !proj.preserves_order() {
-            Self::sort_entries(&mut rolled);
-        }
-        rolled.dedup_by(|cur, acc| {
-            if cur.0 == acc.0 {
-                acc.1 += cur.1;
-                true
-            } else {
-                false
-            }
-        });
-        rolled
-    }
-
-    /// [`query_rollup`](Self::query_rollup) returning each level as a
-    /// **key-sorted entry vector** instead of a hash map.
+    /// `GROUP BY` every spec of a set (e.g. a prefix hierarchy) in one
+    /// **rollup**, each level as `(partial key, size)` entries sorted
+    /// by key bytes, in `specs` order.
     ///
-    /// This is the natural output shape of the rollup (levels are
-    /// produced as sorted runs) and the natural input shape for
-    /// hierarchy consumers (HHH threshold filters, reports), so no
-    /// per-level hash table is ever materialized: for fine prefix
-    /// levels — whose group count approaches the row count — that skips
-    /// the single most expensive step of the map-shaped query, one
-    /// hash-table insert per output group. Entries are sorted by
-    /// lexicographic key bytes and contain exactly the pairs of
-    /// [`query_partial`](Self::query_partial) for the same spec.
+    /// A spec that is a partial key of an earlier spec in the set is
+    /// summed from the [`GroupBy`] words of the earlier spec with the
+    /// fewest groups; a spec with no such ancestor groups the table's
+    /// rows. For the 33-level source-IP hierarchy that is one sort of
+    /// the table and 32 passes over shrinking levels; for the
+    /// 1089-level 2-d grid every level but the first rolls. A prefix
+    /// projection keeps its ancestor's order
+    /// ([`Projector::preserves_order`]), so its equal keys are already
+    /// adjacent and are summed without a sort; a field-reordering
+    /// projection sorts again. Ancestors must come *before* their
+    /// descendants (hierarchies are listed fine → coarse).
+    ///
+    /// Every level equals per-spec [`query_partial`](Self::query_partial):
+    /// projection composes and per-key sums are exact integer
+    /// additions, so grouping through an intermediate key changes
+    /// neither the keys nor the sums. `None` when a group's size
+    /// overflows `u64` in any level.
     ///
     /// # Panics
     /// Panics if any spec is not a partial key of the table's full key.
-    pub fn query_rollup_entries(
-        &self,
-        specs: &[KeySpec],
-        threads: usize,
-    ) -> Vec<Vec<(KeyBytes, u64)>> {
-        let (is_root, root_specs) = Self::split_roots(specs);
-        let mut root_maps = self.root_results(&root_specs, threads).into_iter();
+    pub fn rollup(&self, specs: &[KeySpec]) -> Option<Vec<Vec<(KeyBytes, u64)>>> {
+        Some(self.levels(specs)?.iter().map(GroupBy::entries).collect())
+    }
 
-        let mut out: Vec<Vec<(KeyBytes, u64)>> = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            // LINT: bounded(i < specs.len() = is_root.len())
-            if is_root[i] {
-                let mut rows: Vec<(KeyBytes, u64)> = root_maps
-                    .next()
-                    .unwrap_or_else(|| invariant::violated("one root result per root spec"))
-                    .into_iter()
-                    .collect();
-                Self::sort_entries(&mut rows);
-                out.push(rows);
-                continue;
-            }
-            let parent = Self::best_parent(specs, i, |j| out[j].len()); // LINT: bounded(best_parent yields j < i = out.len())
-            out.push(Self::roll_level(
-                &out[parent],                    // LINT: bounded(parent < i = out.len())
-                &spec.projector(&specs[parent]), // LINT: bounded(parent < i <= specs.len())
-            ));
+    /// [`rollup`](Self::rollup) with each level built straight from its
+    /// summed words into a hash map: the shape the per-key accuracy
+    /// scorers look flows up in. Bit-identical to per-spec
+    /// [`query_partial`](Self::query_partial); `None` when a group's
+    /// size overflows `u64` in any level.
+    ///
+    /// # Panics
+    /// Panics if any spec is not a partial key of the table's full key.
+    pub fn query_all(&self, specs: &[KeySpec]) -> Option<Vec<FastMap<KeyBytes, u64>>> {
+        Some(
+            self.levels(specs)?
+                .iter()
+                .map(GroupBy::collect_groups)
+                .collect(),
+        )
+    }
+
+    /// The summed kernel of every level of [`rollup`](Self::rollup).
+    fn levels(&self, specs: &[KeySpec]) -> Option<Vec<GroupBy>> {
+        let mut levels: Vec<GroupBy> = Vec::with_capacity(specs.len());
+        for spec in specs {
+            // `levels` holds one kernel per earlier spec, so the zip
+            // pairs each earlier spec with its own groups.
+            let ancestor = specs
+                .iter()
+                .zip(&levels)
+                .filter(|(earlier, _)| spec.is_partial_of(earlier))
+                .min_by_key(|(_, groups)| groups.len());
+            let groups = match ancestor {
+                Some((earlier, groups)) => groups.rolled(&spec.projector(earlier))?,
+                None => {
+                    let mut groups = GroupBy::with_rows(spec.encoded_len(), self.rows.len());
+                    groups.project(&self.rows, &self.compile(spec));
+                    groups.sort_and_sum()?;
+                    groups
+                }
+            };
+            levels.push(groups);
         }
-        out
-    }
-
-    /// The engine front door: answer every spec, picking rollup where
-    /// the set nests, one scan per remaining spec, and the parallel scan
-    /// when the table is large and CPUs are available.
-    /// Always bit-identical to per-spec
-    /// [`query_partial`](Self::query_partial).
-    pub fn query_all(&self, specs: &[KeySpec]) -> Vec<FastMap<KeyBytes, u64>> {
-        self.query_rollup_threads(specs, self.auto_threads())
-    }
-
-    /// [`query_all`](Self::query_all) in sorted-entry shape (see
-    /// [`query_rollup_entries`](Self::query_rollup_entries)) — the fast
-    /// path for hierarchy workloads, where per-level hash maps would be
-    /// built only to be iterated once.
-    pub fn query_all_entries(&self, specs: &[KeySpec]) -> Vec<Vec<(KeyBytes, u64)>> {
-        self.query_rollup_entries(specs, self.auto_threads())
-    }
-
-    /// Scan threads for [`query_all`](Self::query_all): 1 for small
-    /// tables, else the machine's parallelism capped at
-    /// [`PARALLEL_SCAN_MAX_THREADS`].
-    fn auto_threads(&self) -> usize {
-        if self.rows.len() < PARALLEL_SCAN_MIN_ROWS {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(PARALLEL_SCAN_MAX_THREADS)
-        }
+        Some(levels)
     }
 
     /// Estimated size of a single partial-key flow.
@@ -570,27 +356,72 @@ impl GroupBy {
     /// [`with_rows`](Self::with_rows) are not grouped.
     #[inline]
     pub fn project(&mut self, rows: &[(KeyBytes, u64)], proj: &Projector) {
+        self.project_words(rows.iter().map(|(key, size)| (key.word(), *size)), proj);
+    }
+
+    /// [`project`](Self::project) over `(key word, size)` rows: a
+    /// table's keys, or another kernel's groups.
+    #[inline]
+    fn project_words(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (u128, u64)>,
+        proj: &Projector,
+    ) {
         debug_assert_eq!(proj.out_len(), self.out_len, "projector width");
+        let n = rows.len();
         match &mut self.pairs {
             Pairs::Narrow(pairs) => project_pairs(pairs, self.filled, rows, proj),
             Pairs::Wide(pairs) => project_pairs(pairs, self.filled, rows, proj),
         }
-        self.filled += rows.len();
+        self.filled += n;
     }
 
     /// Sort the projected rows and sum equal neighbours, in place.
     /// `None` when a group's sum overflows `u64`: no group is wrapped.
     pub fn sort_and_sum(&mut self) -> Option<()> {
+        self.sum(false)
+    }
+
+    /// [`sort_and_sum`](Self::sort_and_sum), skipping the sort when the
+    /// projected words are already in order.
+    fn sum(&mut self, sorted: bool) -> Option<()> {
         match &mut self.pairs {
-            Pairs::Narrow(pairs) => sort_and_sum(pairs, self.filled),
-            Pairs::Wide(pairs) => sort_and_sum(pairs, self.filled),
+            Pairs::Narrow(pairs) => sum_pairs(pairs, self.filled, sorted),
+            Pairs::Wide(pairs) => sum_pairs(pairs, self.filled, sorted),
         }
+    }
+
+    /// Number of groups, once summed.
+    fn len(&self) -> usize {
+        match &self.pairs {
+            Pairs::Narrow(pairs) => pairs.len(),
+            Pairs::Wide(pairs) => pairs.len(),
+        }
+    }
+
+    /// The groups of `proj` over this kernel's summed groups: one
+    /// rollup level, in a kernel of its own. The words stay sorted
+    /// when `proj` preserves order, so then they are only summed.
+    /// `None` when a group's sum overflows `u64`.
+    fn rolled(&self, proj: &Projector) -> Option<GroupBy> {
+        let mut child = GroupBy::with_rows(proj.out_len(), self.len());
+        match &self.pairs {
+            Pairs::Narrow(groups) => child.project_words(key_words(groups), proj),
+            Pairs::Wide(groups) => child.project_words(key_words(groups), proj),
+        }
+        child.sum(proj.preserves_order())?;
+        Some(child)
     }
 
     /// The groups as `(partial key, size)` rows. After
     /// [`sort_and_sum`](Self::sort_and_sum) they are sorted by key bytes
     /// and each key appears once.
     pub fn entries(&self) -> Vec<(KeyBytes, u64)> {
+        self.collect_groups()
+    }
+
+    /// The groups as `(partial key, size)` pairs, collected into `C`.
+    fn collect_groups<C: FromIterator<(KeyBytes, u64)>>(&self) -> C {
         match &self.pairs {
             Pairs::Narrow(pairs) => pair_entries(pairs, self.out_len),
             Pairs::Wide(pairs) => pair_entries(pairs, self.out_len),
@@ -631,18 +462,25 @@ impl Word for u128 {
 fn project_pairs<W: Word>(
     pairs: &mut [(W, u64)],
     from: usize,
-    rows: &[(KeyBytes, u64)],
+    rows: impl ExactSizeIterator<Item = (u128, u64)>,
     proj: &Projector,
 ) {
     debug_assert!(from + rows.len() <= pairs.len(), "buffer sized too small");
-    for (pair, (key, size)) in pairs.iter_mut().skip(from).zip(rows) {
-        *pair = (W::from_key_word(proj.project_word(key.word())), *size);
+    for (pair, (word, size)) in pairs.iter_mut().skip(from).zip(rows) {
+        *pair = (W::from_key_word(proj.project_word(word)), size);
     }
 }
 
-fn sort_and_sum<W: Word>(pairs: &mut Vec<(W, u64)>, filled: usize) -> Option<()> {
+/// Summed groups as `(key word, size)` rows, to roll into a coarser key.
+fn key_words<W: Word>(groups: &[(W, u64)]) -> impl ExactSizeIterator<Item = (u128, u64)> + '_ {
+    groups.iter().map(|&(word, size)| (word.key_word(), size))
+}
+
+fn sum_pairs<W: Word>(pairs: &mut Vec<(W, u64)>, filled: usize, sorted: bool) -> Option<()> {
     pairs.truncate(filled);
-    pairs.sort_unstable_by_key(|&(word, _)| word);
+    if !sorted {
+        pairs.sort_unstable_by_key(|&(word, _)| word);
+    }
     let mut overflow = false;
     pairs.dedup_by(|cur, acc| {
         let same = cur.0 == acc.0;
@@ -657,7 +495,7 @@ fn sort_and_sum<W: Word>(pairs: &mut Vec<(W, u64)>, filled: usize) -> Option<()>
     (!overflow).then_some(())
 }
 
-fn pair_entries<W: Word>(pairs: &[(W, u64)], len: usize) -> Vec<(KeyBytes, u64)> {
+fn pair_entries<W: Word, C: FromIterator<(KeyBytes, u64)>>(pairs: &[(W, u64)], len: usize) -> C {
     pairs
         .iter()
         .map(|&(word, size)| (KeyBytes::from_word(word.key_word(), len), size))
@@ -804,17 +642,22 @@ mod tests {
             t.query_flow(&KeySpec::SRC_IP, &KeyBytes::new(&[0, 0, 0, 0])),
             0
         );
-        for maps in [
-            t.query_rollup(&KeySpec::PAPER_SIX),
-            t.query_rollup_threads(&KeySpec::PAPER_SIX, 4),
-            t.query_all(&KeySpec::PAPER_SIX),
-        ] {
-            assert_eq!(maps.len(), 6);
-            assert!(maps.iter().all(FastMap::is_empty));
-        }
-        let entries = t.query_all_entries(&KeySpec::PAPER_SIX);
-        assert_eq!(entries.len(), 6);
-        assert!(entries.iter().all(Vec::is_empty));
+        // Every level of an empty table is empty, the empty key's too.
+        let mut specs = KeySpec::PAPER_SIX.to_vec();
+        specs.push(KeySpec::EMPTY);
+        assert_rollup_matches(&t, &specs);
+        assert!(t.rollup(&specs).unwrap().iter().all(Vec::is_empty));
+    }
+
+    /// `rollup` and `query_all` against one `query_partial` per spec.
+    fn assert_rollup_matches(t: &FlowTable, specs: &[KeySpec]) {
+        let maps: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
+        assert_eq!(t.query_all(specs).unwrap(), maps, "{specs:?}");
+        assert_eq!(
+            t.rollup(specs).unwrap(),
+            t.query_all_entries(specs),
+            "{specs:?}"
+        );
     }
 
     #[test]
@@ -823,8 +666,7 @@ mod tests {
         let mut specs = KeySpec::PAPER_SIX.to_vec();
         specs.push(KeySpec::EMPTY);
         specs.push(KeySpec::src_prefix(9));
-        let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
-        assert_eq!(t.query_all(&specs), expect);
+        assert_rollup_matches(&t, &specs);
     }
 
     #[test]
@@ -834,9 +676,7 @@ mod tests {
         // direct per-spec scan exactly.
         let t = big_table(2_000);
         let hierarchy: Vec<KeySpec> = (0..=32u8).rev().map(KeySpec::src_prefix).collect();
-        let expect: Vec<_> = hierarchy.iter().map(|s| t.query_partial(s)).collect();
-        assert_eq!(t.query_rollup(&hierarchy), expect);
-        assert_eq!(t.query_all(&hierarchy), expect);
+        assert_rollup_matches(&t, &hierarchy);
     }
 
     #[test]
@@ -844,36 +684,39 @@ mod tests {
         let t = big_table(1_000);
         // SRC_IP_PORT and DST_IP_PORT are unrelated (both roots); the
         // duplicate spec rolls up via the identity projection.
-        let specs = [
-            KeySpec::SRC_IP_PORT,
-            KeySpec::DST_IP_PORT,
-            KeySpec::SRC_IP_PORT,
-            KeySpec::SRC_IP,
-        ];
-        let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
-        assert_eq!(t.query_rollup(&specs), expect);
-    }
-
-    /// `query_partial` reshaped to the sorted-entry contract of
-    /// `query_rollup_entries`.
-    fn sorted_partial(t: &FlowTable, spec: &KeySpec) -> Vec<(KeyBytes, u64)> {
-        let mut rows: Vec<(KeyBytes, u64)> = t.query_partial(spec).into_iter().collect();
-        rows.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-        rows
+        assert_rollup_matches(
+            &t,
+            &[
+                KeySpec::SRC_IP_PORT,
+                KeySpec::DST_IP_PORT,
+                KeySpec::SRC_IP_PORT,
+                KeySpec::SRC_IP,
+            ],
+        );
+        // Rolls out of the 13-byte (u128-word) full key: to an 8-byte
+        // (u64-word) key, and to a 10-byte key that stays wide.
+        assert_rollup_matches(&t, &[KeySpec::FIVE_TUPLE, KeySpec::SRC_DST]);
+        let src_dst_sport = KeySpec {
+            src_port: true,
+            ..KeySpec::SRC_DST
+        };
+        assert_rollup_matches(&t, &[KeySpec::FIVE_TUPLE, src_dst_sport]);
     }
 
     #[test]
     fn rollup_entries_match_per_spec_and_stay_sorted() {
         let t = big_table(2_000);
         let hierarchy: Vec<KeySpec> = (0..=32u8).rev().map(KeySpec::src_prefix).collect();
-        let got = t.query_all_entries(&hierarchy);
-        let expect: Vec<_> = hierarchy.iter().map(|s| sorted_partial(&t, s)).collect();
-        assert_eq!(got, expect);
+        let levels = t.rollup(&hierarchy).unwrap();
+        assert_eq!(levels, t.query_all_entries(&hierarchy));
+        for level in &levels {
+            assert!(level
+                .windows(2)
+                .all(|w| w[0].0.as_slice() < w[1].0.as_slice()));
+        }
         // The field-reordering (re-sort) path in entry shape too.
         let specs = [KeySpec::SRC_DST, KeySpec::DST_IP, KeySpec::EMPTY];
-        let got = t.query_rollup_entries(&specs, 1);
-        let expect: Vec<_> = specs.iter().map(|s| sorted_partial(&t, s)).collect();
-        assert_eq!(got, expect);
+        assert_eq!(t.rollup(&specs).unwrap(), t.query_all_entries(&specs));
     }
 
     #[test]
@@ -882,33 +725,33 @@ mod tests {
         // projected parent entries are *not* sorted and the rollup must
         // re-sort before merging runs — the non-monotone path.
         let t = big_table(2_000);
-        let specs = [
+        assert_rollup_matches(
+            &t,
+            &[
+                KeySpec::SRC_DST,
+                KeySpec::DST_IP,
+                KeySpec::src_dst_prefix(0, 13),
+                KeySpec::EMPTY,
+            ],
+        );
+        // A 9×9 slice of Figure 12's 2-d grid over a (SrcIP, DstIP)
+        // table, fine → coarse: a level with a shorter source prefix
+        // and a kept destination must re-sort, and the levels that drop
+        // a field entirely narrow the key.
+        let pairs = FlowTable::new(
             KeySpec::SRC_DST,
-            KeySpec::DST_IP,
-            KeySpec::src_dst_prefix(0, 13),
-            KeySpec::EMPTY,
-        ];
-        let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
-        assert_eq!(t.query_rollup(&specs), expect);
-    }
-
-    #[test]
-    fn parallel_scan_exact_across_thread_counts() {
-        let t = big_table(10_000);
-        let mut specs = KeySpec::PAPER_SIX.to_vec();
-        specs.push(KeySpec::EMPTY);
-        let expect: Vec<_> = specs.iter().map(|s| t.query_partial(s)).collect();
-        for threads in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(
-                t.query_rollup_threads(&specs, threads),
-                expect,
-                "{threads} threads"
-            );
-        }
-        // More threads than rows degrades gracefully.
-        let tiny = big_table(3);
-        let expect: Vec<_> = specs.iter().map(|s| tiny.query_partial(s)).collect();
-        assert_eq!(tiny.query_rollup_threads(&specs, 16), expect);
+            t.rows()
+                .iter()
+                .map(|(k, v)| (KeySpec::SRC_DST.project_key(t.full_spec(), k), *v))
+                .collect(),
+        );
+        let bits: Vec<u8> = (0..=32u8).rev().step_by(4).collect();
+        let grid: Vec<KeySpec> = bits
+            .iter()
+            .flat_map(|&s| bits.iter().map(move |&d| KeySpec::src_dst_prefix(s, d)))
+            .collect();
+        assert_eq!(grid.len(), 81);
+        assert_rollup_matches(&pairs, &grid);
     }
 
     #[test]
@@ -966,7 +809,7 @@ mod tests {
                 let mut groups = GroupBy::with_rows(spec.encoded_len(), t.len());
                 groups.project(t.rows(), &spec.projector(t.full_spec()));
                 assert!(groups.sort_and_sum().is_some());
-                assert_eq!(groups.entries(), sorted_partial(&t, &spec), "{spec}");
+                assert_eq!(groups.entries(), t.query_all_entries(&[spec])[0], "{spec}");
             }
         }
         // Tables under different full keys group together, each through
@@ -984,9 +827,9 @@ mod tests {
             groups.project(table.rows(), &spec.projector(table.full_spec()));
         }
         assert!(groups.sort_and_sum().is_some());
-        let doubled: Vec<(KeyBytes, u64)> = sorted_partial(&t, &spec)
-            .into_iter()
-            .map(|(k, v)| (k, 2 * v))
+        let doubled: Vec<(KeyBytes, u64)> = t.query_all_entries(&[spec])[0]
+            .iter()
+            .map(|&(k, v)| (k, 2 * v))
             .collect();
         assert_eq!(groups.entries(), doubled);
     }
@@ -1008,6 +851,15 @@ mod tests {
                 assert_eq!(groups.entries().len(), 2);
             }
         }
+        // A rollup in which only the coarse level overflows: the full
+        // key and (SrcIP, DstIP) keep both flows apart, SrcIP sums them.
+        let t = FlowTable::new(full, rows.to_vec());
+        let fine = [full, KeySpec::SRC_DST];
+        assert!(t.rollup(&fine).is_some());
+        assert!(t.query_all(&fine).is_some());
+        let coarse = [full, KeySpec::SRC_DST, KeySpec::SRC_IP];
+        assert!(t.rollup(&coarse).is_none());
+        assert!(t.query_all(&coarse).is_none());
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //!   Its one-shot [`run`](sharded::ShardedEngine::run) is a session
 //!   sealed once (a single shard runs inline on the caller's thread),
 //!   and [`sharded::EngineRun::flow_table`] bridges a finished run into
-//!   the query plane ([`cocosketch::FlowTable::query_all`]);
+//!   the query plane ([`cocosketch::FlowTable`], whose
+//!   [`rollup`](cocosketch::FlowTable::rollup) groups it by many partial
+//!   keys at once);
 //!
 //! - [`affinity`]: shard-to-core pinning — a libc-free, SAFETY-audited
 //!   `sched_setaffinity(2)` wrapper (Linux x86-64; no-op elsewhere)

@@ -110,7 +110,7 @@ pub struct EngineRun<S = BasicCocoSketch> {
 impl<S: MergeSketch> EngineRun<S> {
     /// Hand the merged sketch's records to the query plane: a
     /// [`FlowTable`] over `full` (the spec the ingested keys were
-    /// projected under), ready for `query_all`/`query_partial`
+    /// projected under), ready for `rollup`/`query_partial`
     /// aggregation of any partial key.
     pub fn flow_table(&self, full: KeySpec) -> FlowTable {
         FlowTable::new(full, self.sketch.records())
@@ -364,7 +364,7 @@ mod tests {
         .run(&pkts);
         let table = run.flow_table(KeySpec::FIVE_TUPLE);
         assert_eq!(table.total(), total, "records conserve the stream weight");
-        let maps = table.query_all(&KeySpec::PAPER_SIX);
+        let maps = table.query_all(&KeySpec::PAPER_SIX).unwrap();
         assert!(maps.iter().all(|m| m.values().sum::<u64>() == total));
     }
 

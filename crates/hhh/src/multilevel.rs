@@ -22,29 +22,30 @@ pub struct LevelReport {
 /// Each level's table is built by `GROUP BY` aggregation of the same
 /// full-key records — no per-level state was ever maintained during
 /// measurement, which is the point of the arbitrary-partial-key
-/// design. The aggregation runs through the query-plane engine in
-/// sorted-entry shape ([`FlowTable::query_all_entries`]): the finest
-/// level scans the records once and every coarser level rolls up from
-/// its ancestor's (shrinking) sorted entries by linear merge — no
-/// per-level hash table is ever built, and the reported flows are
-/// exactly those of a per-level scan.
+/// design. The aggregation is one rollup ([`FlowTable::rollup`]): the
+/// finest level groups the records once and every coarser level is
+/// summed from its ancestor's (shrinking) groups, so the reported flows
+/// are exactly those of a per-level scan, sorted by key bytes. `None`
+/// when a level's group sum overflows `u64`.
 pub fn multilevel_from_table(
     table: &FlowTable,
     hierarchy: &[KeySpec],
     threshold: u64,
-) -> Vec<LevelReport> {
-    table
-        .query_all_entries(hierarchy)
-        .into_iter()
-        .zip(hierarchy)
-        .map(|(counts, spec)| LevelReport {
-            spec: *spec,
-            flows: counts
-                .into_iter()
-                .filter(|&(_, v)| v >= threshold)
-                .collect(),
-        })
-        .collect()
+) -> Option<Vec<LevelReport>> {
+    Some(
+        table
+            .rollup(hierarchy)?
+            .into_iter()
+            .zip(hierarchy)
+            .map(|(counts, spec)| LevelReport {
+                spec: *spec,
+                flows: counts
+                    .into_iter()
+                    .filter(|&(_, v)| v >= threshold)
+                    .collect(),
+            })
+            .collect(),
+    )
 }
 
 /// Exact multi-level heavy flows (ground truth).
@@ -120,7 +121,7 @@ mod tests {
         }
         let table = FlowTable::new(full, sk.records());
         let threshold = (t.total_weight() / 1_000).max(1);
-        let got = multilevel_from_table(&table, &h, threshold);
+        let got = multilevel_from_table(&table, &h, threshold).unwrap();
         let want = exact_multilevel(&t, &h, threshold);
         for (g, w) in got.iter().zip(&want) {
             let got_set: std::collections::HashSet<_> = g.flows.iter().map(|&(k, _)| k).collect();
@@ -145,7 +146,7 @@ mod tests {
         }
         let table = FlowTable::new(full, sk.records());
         let threshold = (t.total_weight() / 500).max(1);
-        let got = multilevel_from_table(&table, &h, threshold);
+        let got = multilevel_from_table(&table, &h, threshold).unwrap();
         for (report, spec) in got.iter().zip(&h) {
             let mut flows = report.flows.clone();
             let mut direct = table.heavy_hitters(spec, threshold);

@@ -10,13 +10,14 @@
 //! bit-identical to running the same query directly on that epoch's
 //! table.
 //!
-//! Partial-key and window answers run through the query plane's
-//! group-by kernel ([`GroupBy`]): every contributing row is projected
-//! to an integer word, the words are sorted once and equal neighbours
-//! summed. The hierarchy query ([`Service::multi`]) runs the rollup
-//! engine. `tests` and the `qps` bench check every served answer
-//! against [`FlowTable::query_all_entries`], whose hash-map scan is a
-//! separate implementation of the same group-by.
+//! Every answer runs through the query plane's group-by kernel
+//! ([`GroupBy`]): partial-key and window answers project each
+//! contributing row to an integer word, sort the words once and sum
+//! equal neighbours, and the hierarchy query ([`Service::multi`]) runs
+//! the kernel's rollup ([`FlowTable::rollup`]). `tests` and the `qps`
+//! bench check every served answer against
+//! [`FlowTable::query_all_entries`], whose hash-map scan is a separate
+//! implementation of the same group-by.
 
 use crate::cache::{CacheStats, ProjectorCache};
 use crate::catalog::{catalog, CatalogWriter, SnapshotCatalog};
@@ -211,9 +212,12 @@ impl Service {
     }
 
     /// Answer a whole spec list (e.g. an HHH hierarchy) against the
-    /// selected epoch via the rollup engine, optionally filtering each
-    /// level to entries with `size >= threshold` (`threshold == 0`
-    /// keeps everything). Answers come back in `specs` order.
+    /// selected epoch in one rollup ([`FlowTable::rollup`]), optionally
+    /// filtering each level to entries with `size >= threshold`
+    /// (`threshold == 0` keeps everything). Answers come back in
+    /// `specs` order. `None` when the epoch is not retained, sealed no
+    /// tables, a spec is not a partial key of the table's full key, or
+    /// a group's size overflows `u64` in any level.
     pub fn multi(&self, sel: Select, specs: &[KeySpec], threshold: u64) -> Option<Vec<Answer>> {
         let epoch = self.snapshot(sel)?;
         let table = epoch.tables.first()?;
@@ -221,7 +225,7 @@ impl Service {
         if specs.iter().any(|s| !s.is_partial_of(full)) {
             return None;
         }
-        let levels = table.query_all_entries(specs);
+        let levels = table.rollup(specs)?;
         Some(
             specs
                 .iter()
@@ -499,8 +503,7 @@ mod tests {
     #[test]
     fn partial_matches_query_all_entries() {
         // A small table, distinct random keys, heavy duplication, and
-        // one table large enough that the reference takes its parallel
-        // scan.
+        // a larger table.
         let tables = [
             epoch(0, 500, 3),
             random_epoch(1, 3_000, u64::MAX, 1),
@@ -544,6 +547,10 @@ mod tests {
         assert!(svc.partial(Select::Latest, &KeySpec::EMPTY).is_none());
         let fine = svc.partial(Select::Latest, &full).unwrap();
         assert_eq!(fine.entries, vec![(a, u64::MAX), (b, 1)]);
+        // A hierarchy whose coarse level alone overflows.
+        assert!(svc.multi(Select::Latest, &[full], 0).is_some());
+        let levels = [full, KeySpec::SRC_DST, KeySpec::SRC_IP];
+        assert!(svc.multi(Select::Latest, &levels, 0).is_none());
         // Across epochs too: each epoch alone fits, their window does not.
         publisher.publish_epoch(Epoch {
             id: 1,
@@ -552,12 +559,16 @@ mod tests {
         assert!(svc.window(0, 1, &full).is_none());
         assert!(svc.window(1, 1, &full).is_some());
         // On the wire an overflow is an error answer.
-        let request = crate::wire::Request::Partial(Select::Id(0), KeySpec::SRC_IP);
-        let response = crate::wire::respond(&svc, &request);
-        assert!(
-            matches!(response, crate::wire::Response::Error(_)),
-            "{response:?}"
-        );
+        for request in [
+            crate::wire::Request::Partial(Select::Id(0), KeySpec::SRC_IP),
+            crate::wire::Request::Multi(Select::Id(0), levels.to_vec(), 0),
+        ] {
+            let response = crate::wire::respond(&svc, &request);
+            assert!(
+                matches!(response, crate::wire::Response::Error(_)),
+                "{response:?}"
+            );
+        }
     }
 
     #[test]

@@ -192,19 +192,22 @@ impl Pipeline {
     /// Estimated flow tables of the **current** (unsealed) epoch, one
     /// per measured key, in spec order.
     ///
-    /// The CocoSketch arm runs the query-plane engine
-    /// ([`FlowTable::query_all`]): specs that nest (prefix hierarchies)
-    /// roll up from their ancestor's result map, the rest share a
-    /// single multi-projector pass over the records, and large tables
-    /// scan in parallel — all bit-identical to per-spec
+    /// The CocoSketch arm groups its one full-key table by every spec
+    /// in one rollup ([`FlowTable::query_all`]): a spec that nests in an
+    /// earlier one (prefix hierarchies) is summed from that spec's
+    /// groups instead of the records — bit-identical to per-spec
     /// [`FlowTable::query_partial`].
+    ///
+    /// # Panics
+    /// Panics if a partial-key sum of the CocoSketch arm overflows
+    /// `u64`.
     pub fn estimates(&self) -> Vec<FastMap<KeyBytes, u64>> {
         match &self.deployment {
             Deployment::Coco {
                 sketch,
                 full,
                 specs,
-            } => FlowTable::new(*full, sketch.records()).query_all(specs),
+            } => coco_estimates(&FlowTable::new(*full, sketch.records()), specs),
             Deployment::PerKey { sketches, .. } => sketches
                 .iter()
                 .map(|sketch| {
@@ -342,12 +345,15 @@ impl Pipeline {
     /// Estimates recovered from a **sealed** epoch, in spec order —
     /// bit-identical to what [`estimates`](Pipeline::estimates)
     /// returned just before that epoch was rotated out.
+    ///
+    /// # Panics
+    /// Panics where [`estimates`](Pipeline::estimates) would have.
     pub fn sealed_estimates(&self, id: u64) -> Option<Vec<FastMap<KeyBytes, u64>>> {
         let epoch = self.store.sealed(id)?;
         Some(match &self.plan {
             // Full-key deployment: one table, partial keys by rollup.
             Plan::Algo { algo, specs, .. } if algo.deploys_on_full_key() => {
-                epoch.primary().query_all(specs)
+                coco_estimates(epoch.primary(), specs)
             }
             // One table per key: identity projection aggregates exactly
             // like the live path's defensive sum.
@@ -358,6 +364,13 @@ impl Pipeline {
                 .collect(),
         })
     }
+}
+
+/// Every spec's estimates from one full-key table, by rollup.
+fn coco_estimates(table: &FlowTable, specs: &[KeySpec]) -> Vec<FastMap<KeyBytes, u64>> {
+    table
+        .query_all(specs)
+        .expect("a partial-key sum of one window's estimates fits in u64")
 }
 
 #[cfg(test)]
@@ -438,10 +451,9 @@ mod tests {
 
     #[test]
     fn coco_estimates_match_per_spec_queries() {
-        // The query-plane engine behind `estimates` (single-pass +
-        // rollup + parallel scan) must agree bit-for-bit with the naive
-        // per-spec aggregation it replaced. Sealing exposes the same
-        // table, so the sealed epoch is the reference here.
+        // The rollup behind `estimates` must agree bit-for-bit with the
+        // naive per-spec aggregation. Sealing exposes the same table, so
+        // the sealed epoch is the reference here.
         let t = trace();
         let mut pipe = Pipeline::deploy(
             Algo::OURS,
@@ -656,8 +668,8 @@ mod tests {
 
     #[test]
     fn rotate_publish_serves_sealed_estimates() {
-        // The service must answer exactly what the pipeline's own
-        // sealed-epoch query path answers — same table, same rollup.
+        // The service must answer exactly what a per-spec hash-map scan
+        // of the pipeline's own sealed epoch answers.
         let t = trace();
         let mut pipe = Pipeline::deploy(
             Algo::OURS,

@@ -159,11 +159,10 @@ proptest! {
     }
 
     #[test]
-    fn query_engine_paths_bit_identical(stream in arb_stream(), threads in 1usize..5, seed in any::<u64>()) {
-        // Every query-plane path — the chunked parallel scan and the
-        // engine front door — must agree exactly (not approximately)
-        // with one query_partial scan per spec, spec list including the
-        // empty key.
+    fn query_engine_paths_bit_identical(stream in arb_stream(), seed in any::<u64>()) {
+        // The rollup, in both shapes, must agree exactly (not
+        // approximately) with one query_partial scan per spec, spec
+        // list including the empty key.
         let full = KeySpec::FIVE_TUPLE;
         let mut s = BasicCocoSketch::new(2, 16, full.key_bytes(), seed);
         for (flow, w) in &stream {
@@ -173,12 +172,12 @@ proptest! {
         let mut specs = KeySpec::PAPER_SIX.to_vec();
         specs.push(KeySpec::EMPTY);
         let base: Vec<_> = specs.iter().map(|sp| table.query_partial(sp)).collect();
-        prop_assert_eq!(&table.query_rollup_threads(&specs, threads), &base, "parallel scan");
-        prop_assert_eq!(&table.query_all(&specs), &base, "engine");
+        prop_assert_eq!(table.query_all(&specs), Some(base), "engine");
+        prop_assert_eq!(table.rollup(&specs), Some(table.query_all_entries(&specs)), "rollup");
     }
 
     #[test]
-    fn hierarchy_rollup_bit_identical(stream in arb_stream(), threads in 1usize..5, seed in any::<u64>()) {
+    fn hierarchy_rollup_bit_identical(stream in arb_stream(), seed in any::<u64>()) {
         // The full 33-level source-prefix hierarchy, answered by
         // level-over-level rollup (hash-map and sorted-entry shapes),
         // must match 33 independent per-spec scans bit for bit.
@@ -190,9 +189,8 @@ proptest! {
         let table = FlowTable::new(full, s.records());
         let hierarchy = hhh::hierarchy::src_hierarchy();
         let base: Vec<_> = hierarchy.iter().map(|sp| table.query_partial(sp)).collect();
-        prop_assert_eq!(&table.query_rollup(&hierarchy), &base, "rollup (maps)");
-        prop_assert_eq!(&table.query_rollup_threads(&hierarchy, threads), &base, "rollup (threads)");
-        let entries = table.query_rollup_entries(&hierarchy, threads);
+        prop_assert_eq!(table.query_all(&hierarchy).as_ref(), Some(&base), "rollup (maps)");
+        let entries = table.rollup(&hierarchy).unwrap();
         for ((level, map), spec) in entries.iter().zip(&base).zip(&hierarchy) {
             prop_assert!(
                 level.windows(2).all(|w| w[0].0.as_slice() < w[1].0.as_slice()),
@@ -269,15 +267,11 @@ fn query_engine_paths_on_empty_table() {
     specs.push(KeySpec::EMPTY);
     let base: Vec<_> = specs.iter().map(|sp| table.query_partial(sp)).collect();
     assert!(base.iter().all(|m| m.is_empty()));
-    assert_eq!(table.query_rollup_threads(&specs, 4), base);
-    assert_eq!(table.query_all(&specs), base);
+    assert_eq!(table.query_all(&specs), Some(base));
     let hierarchy = hhh::hierarchy::src_hierarchy();
     let empty_h: Vec<_> = hierarchy.iter().map(|sp| table.query_partial(sp)).collect();
-    assert_eq!(table.query_rollup(&hierarchy), empty_h);
-    assert!(table
-        .query_all_entries(&hierarchy)
-        .iter()
-        .all(Vec::is_empty));
+    assert_eq!(table.query_all(&hierarchy), Some(empty_h));
+    assert!(table.rollup(&hierarchy).unwrap().iter().all(Vec::is_empty));
 }
 
 /// Arbitrary packet streams over explicit key widths: 13 bytes (the
