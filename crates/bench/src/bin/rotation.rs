@@ -6,7 +6,8 @@
 //! count:
 //!
 //! 1. **rotation off** — one epoch, sealed once at `finish()` (the
-//!    one-shot ingest baseline, same rings and workers);
+//!    one-shot ingest baseline on the same session runtime: the
+//!    caller's thread at one thread, the rings and workers beyond);
 //! 2. **rotation on** — an epoch sealed every `--window` packets with
 //!    the overlapped protocol: after each [`EngineSession::rotate`] the
 //!    next window's packets are pushed *before* the previous epoch is
@@ -18,11 +19,12 @@
 //! - `mpps_rotation_{off,on}` — wall-clock ingest throughput of the
 //!   two runs (their ratio is the rotation tax);
 //! - `seal_pause_us_{mean,max}` — the producer-visible pause of
-//!   `rotate()` itself: pushing one in-band seal marker per ring.
-//!   Ingestion never stops for the epoch boundary, so this should sit
-//!   at microseconds regardless of window size;
+//!   `rotate()` itself: pushing one in-band seal marker per ring, or
+//!   with one thread swapping in the spare sketch. Ingestion never
+//!   stops for the epoch boundary, so this should sit at microseconds
+//!   regardless of window size;
 //! - `collect_us_mean` — off-hot-path merge time per sealed epoch
-//!   (collector thread; overlapped with ingestion).
+//!   (collector thread; overlapped with ingestion beyond one thread).
 //!
 //! Every run asserts exact conservation: epoch packet/weight totals
 //! must sum to the stream's.
@@ -121,7 +123,7 @@ struct RotationRun {
 }
 
 /// The overlapped rotation loop: push window k, collect epoch k-1
-/// (merging while the workers chew on window k), then seal window k.
+/// (merging while any workers chew on window k), then seal window k.
 fn run_with_rotation(
     threads: usize,
     seed: u64,
@@ -185,7 +187,7 @@ fn main() {
 
     let mut results = String::new();
     for (idx, &threads) in args.threads.iter().enumerate() {
-        // Rotation off: same session machinery, one epoch at finish().
+        // Rotation off: same session runtime, one epoch at finish().
         let mut s = session(threads, args.seed);
         let started = Instant::now();
         s.push_batch(&packets);
@@ -228,8 +230,9 @@ fn main() {
         "{{\n  \"bench\": \"rotation\",\n  \"trace_packets\": {},\n  \"seed\": {},\n  \
          \"window_packets\": {},\n  \
          \"note\": \"seal_pause is the producer-visible cost of rotate() (one in-band marker \
-         per ring; ingestion never stops); collect is the off-hot-path shard merge, overlapped \
-         with the next window's ingestion; conservation asserted on every run\",\n  \
+         per ring, or one sketch swap at one thread; ingestion never stops); collect is the \
+         shard merge, overlapped with the next window's ingestion beyond one thread; \
+         conservation asserted on every run\",\n  \
          \"results\": [\n{results}\n  ]\n}}\n",
         packets.len(),
         args.seed,

@@ -5,8 +5,9 @@
 //!
 //! 1. the scalar per-packet [`Sketch::update`] loop (the pre-engine
 //!    baseline, and the oracle the batched path is checked against),
-//! 2. the single-shard engine (batched hot path: lane-parallel
-//!    hashing + prefetched probe, no rings),
+//! 2. the single-shard engine (a one-shard session on this thread:
+//!    the batched hot path — lane-parallel hashing + prefetched probe —
+//!    with no rings; timed from session start to finish),
 //! 3. the sharded engine at each requested thread count (real rings
 //!    and worker threads; conservation asserted on every run).
 //!

@@ -76,8 +76,9 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// of B old epochs into coarser buckets.
 ///
 /// `--pin` pins shard workers to cores round-robin (shard i → core
-/// i % cores) with first-touch shard allocation on the pinned core;
-/// see `engine::affinity`. Best-effort and Linux-only.
+/// i % cores) with first-touch shard allocation on the pinned core, or
+/// with one thread pins this thread before its shard is built; see
+/// `engine::affinity`. Best-effort and Linux-only.
 ///
 /// `--serve ADDR` keeps the process resident after measuring as a
 /// [`serve`] wire server answering partial-key queries from the
@@ -132,8 +133,9 @@ pub fn measure(argv: &[String]) -> Result<(), String> {
         trace_io::load(&trace_path).map_err(|e| format!("reading {}: {e}", trace_path.display()))?
     };
     let full = KeySpec::FIVE_TUPLE;
-    // One shard per thread, memory split across shards; threads=1 is
-    // the plain single-sketch path (no rings, no worker threads).
+    // One shard per thread, memory split across shards; threads=1
+    // updates the single sketch on this thread, windowed or not (no
+    // rings, no worker threads).
     let engine = ShardedCocoSketch::with_memory(
         memory,
         EngineConfig {
@@ -437,7 +439,24 @@ fn measure_windowed(
     Ok(())
 }
 
+/// The table `query`, `stats` and `info --table` read, from `--table`
+/// (a `CFT1` table or a `CEP1` epoch) or `--dir`. Its sizes are summed
+/// once here with overflow checked: every group, flow and total those
+/// commands print is at most that sum, so none of their sums can wrap.
 fn load_table(opts: &Opts) -> Result<FlowTable, String> {
+    let table = read_table(opts)?;
+    let summed = table
+        .rows()
+        .iter()
+        .try_fold(0u64, |sum, &(_, size)| sum.checked_add(size));
+    if summed.is_none() {
+        let source = opts.get("dir").or(opts.get("table")).unwrap_or("the table");
+        return Err(format!("{source}: flow sizes sum past u64::MAX"));
+    }
+    Ok(table)
+}
+
+fn read_table(opts: &Opts) -> Result<FlowTable, String> {
     if let Some(dir) = opts.get("dir") {
         if opts.get("table").is_some() {
             return Err("--table and --dir are mutually exclusive".into());

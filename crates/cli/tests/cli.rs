@@ -414,7 +414,7 @@ fn compact_bucket_merges_cold_epochs() {
     let epochs = packets.div_ceil(2000);
     let newest = epochs - 1;
     let horizon = newest - 2;
-    let buckets = ((horizon + 1) / 2) as usize;
+    let buckets = horizon.div_ceil(2) as usize;
     let merged = buckets * 2;
     assert!(buckets >= 1, "trace too small to exercise compaction");
 
@@ -838,6 +838,60 @@ fn serve_requires_an_address() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--serve takes an address"));
+}
+
+#[test]
+fn tables_whose_sizes_overflow_are_refused_not_wrapped() {
+    // Two flows of one source IP whose sizes sum past u64::MAX: summed
+    // unchecked, the source's size and the total would print as 1.
+    use cocosketch::{epoch, snapshot, Epoch, FlowTable, SharedEpochDir};
+    use traffic::{FiveTuple, KeySpec};
+    let dir = tmpdir("overflow");
+    let table = FlowTable::new(
+        KeySpec::FIVE_TUPLE,
+        vec![
+            (FiveTuple::new(7, 1, 1, 1, 6).encode(), u64::MAX),
+            (FiveTuple::new(7, 2, 1, 1, 6).encode(), 2),
+        ],
+    );
+    let cft = dir.join("big.cft");
+    std::fs::write(&cft, snapshot::encode(&table)).unwrap();
+    let sealed = Epoch {
+        id: 0,
+        packets: 2,
+        weight: u64::MAX,
+        tables: vec![table],
+    };
+    let cep = dir.join("big.cep");
+    std::fs::write(&cep, epoch::encode(&sealed)).unwrap();
+    let spill = dir.join("epochs");
+    let (shared, _) = SharedEpochDir::open(&spill).unwrap();
+    shared.append(&sealed).unwrap();
+    drop(shared);
+
+    let (cft, cep, spill) = (
+        cft.to_str().unwrap(),
+        cep.to_str().unwrap(),
+        spill.to_str().unwrap(),
+    );
+    for args in [
+        vec!["query", "--table", cft, "--key", "srcip"],
+        vec!["stats", "--table", cft, "--key", "srcip"],
+        vec!["info", "--table", cft],
+        vec!["query", "--table", cep, "--key", "srcip"],
+        vec!["stats", "--dir", spill, "--key", "srcip"],
+        vec!["query", "--dir", spill, "--epoch", "0", "--key", "srcip"],
+    ] {
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("flow sizes sum past u64::MAX"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a wrapped answer");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

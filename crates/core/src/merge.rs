@@ -114,7 +114,7 @@ mod tests {
         for _ in 0..20_000 {
             let key = k((rng.next_u64() % 500) as u32);
             let w = 1 + rng.next_u64() % 3;
-            if rng.next_u64() % 2 == 0 {
+            if rng.next_u64() & 1 == 0 {
                 a.update(&key, w);
             } else {
                 b.update(&key, w);

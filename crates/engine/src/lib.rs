@@ -11,32 +11,36 @@
 //!   [`push_slice`](ring::SpscRing::push_slice)/
 //!   [`pop_chunk`](ring::SpscRing::pop_chunk) so ring atomics amortize
 //!   over packet batches;
-//! - [`session::EngineSession`]: the one producer→ring→shard→merge
-//!   runtime, with an epoch lifecycle —
-//!   [`rotate`](session::EngineSession::rotate) pushes in-band seal
-//!   markers through the rings (exact window boundaries without
-//!   stopping ingestion), workers swap double-buffered shard sketches
-//!   and hand sealed shards through a one-deep [`session::SealSlot`],
-//!   and [`collect`](session::EngineSession::collect) merges them off
-//!   the hot path into an [`session::EpochRun`] (persistable as a
-//!   [`cocosketch::Epoch`]). A worker panic is re-raised on the
-//!   producer from whichever wait it is in, never turned into a hang;
+//! - [`session::EngineSession`]: the engine's one runtime, with an
+//!   epoch lifecycle. Every shard double-buffers its sketch, so
+//!   [`rotate`](session::EngineSession::rotate) seals a window exactly
+//!   without stopping ingestion, and
+//!   [`collect`](session::EngineSession::collect) returns it as an
+//!   [`session::EpochRun`] (persistable as a [`cocosketch::Epoch`]). A
+//!   single shard is updated on the caller's thread, with no worker,
+//!   ring or seal slot. More shards run producer→ring→shard→merge:
+//!   `rotate` pushes in-band seal markers through the rings, workers
+//!   hand sealed shards through a one-deep [`session::SealSlot`], and
+//!   `collect` merges them off the hot path. A worker panic is
+//!   re-raised on the producer from whichever wait it is in, never
+//!   turned into a hang;
 //! - [`sharded::ShardedEngine`]: the engine's configuration, RSS shard
 //!   selection and shard factory over the [`sketches::MergeSketch`]
 //!   contract (any mergeable sketch ingests sharded;
 //!   [`sharded::ShardedCocoSketch`] is the CocoSketch instantiation).
 //!   Its one-shot [`run`](sharded::ShardedEngine::run) is a session
-//!   sealed once (a single shard runs inline on the caller's thread),
-//!   and [`sharded::EngineRun::flow_table`] bridges a finished run into
-//!   the query plane ([`cocosketch::FlowTable`], whose
+//!   sealed once at every thread count, and
+//!   [`sharded::EngineRun::flow_table`] bridges a finished run into the
+//!   query plane ([`cocosketch::FlowTable`], whose
 //!   [`rollup`](cocosketch::FlowTable::rollup) groups it by many partial
 //!   keys at once);
 //!
 //! - [`affinity`]: shard-to-core pinning — a libc-free, SAFETY-audited
 //!   `sched_setaffinity(2)` wrapper (Linux x86-64; no-op elsewhere)
-//!   that both engines use when [`sharded::EngineConfig::pin`] is set,
-//!   pinning each worker *before* its shard is allocated so first
-//!   touch places bucket memory NUMA-local to the worker's core.
+//!   that the session uses when [`sharded::EngineConfig::pin`] is set,
+//!   pinning each worker (or, with one shard, the caller's thread)
+//!   *before* its shard is allocated so first touch places bucket
+//!   memory NUMA-local to the core that ingests.
 //!
 //! This crate is the data plane's designated `unsafe` crate (the slot
 //! accesses in the ring, each with a documented ownership argument,

@@ -1,26 +1,42 @@
 //! The continuously-running ingestion session and its rotation
 //! protocol.
 //!
-//! This is the engine's one producer→ring→shard→merge runtime. A
-//! production deployment never stops — it measures in *epochs*: while
+//! A production deployment never stops — it measures in *epochs*: while
 //! epoch `N+1` streams in, epoch `N` is sealed, merged off the hot
 //! path, and queried. [`EngineSession`] is that lifecycle, and the
-//! one-shot [`crate::ShardedEngine::run`] is a session sealed once:
+//! one-shot [`crate::ShardedEngine::run`] is a session sealed once.
+//! Every shard owns **two** sketch buffers — the *active* one being
+//! updated and a pre-built *spare* — so sealing swaps them in O(1), with
+//! no allocation between the seal and the sealed shard's hand-off. A
+//! packet is in epoch `N` iff it was pushed before
+//! [`EngineSession::rotate`] returned, and ingestion never stops for the
+//! boundary.
 //!
-//! - every worker owns **two** sketch buffers — the *active* one being
-//!   updated and a pre-built *spare*;
-//! - [`EngineSession::rotate`] pushes a [`Cmd::Seal`] marker through
-//!   each ring, **in band** behind the packets already queued, so the
-//!   epoch boundary is exact per shard (a packet is in epoch `N` iff it
-//!   was pushed before `rotate` returned) and ingestion never stops;
-//! - on the marker, a worker swaps active↔spare (O(1), no allocation on
-//!   the seal path) and hands the sealed shard through its
-//!   [`SealSlot`] — a one-deep SPSC hand-off cell built on the
-//!   cfg-switched primitives in `src/sync.rs`, so the loom model tests
-//!   interleave the real implementation;
-//! - [`EngineSession::collect`] takes the sealed shards and merges them
-//!   on the *caller's* thread — the expensive merge never blocks
-//!   ingestion, which is already filling the next epoch.
+//! **One shard** runs on the caller's thread, with no worker, ring or
+//! seal slot: [`EngineSession::push`] stages packets and flushes them
+//! through the sketch's batched hot path every `batch` packets,
+//! [`EngineSession::push_batch`] hands the caller's slice straight to
+//! it, `rotate` swaps the spare in, and [`EngineSession::collect`]
+//! returns the sealed shard at once. The first push after a rotation
+//! builds the next spare, outside the stretch between a seal and its
+//! epoch becoming visible. A panic in the shard's update path unwinds
+//! out of the push that hit it.
+//!
+//! **More than one shard** runs the producer→ring→shard→merge runtime:
+//!
+//! - the producer partitions packets by full-key hash and feeds each
+//!   shard's worker thread through a private [`SpscRing`];
+//! - `rotate` pushes a [`Cmd::Seal`] marker through each ring, **in
+//!   band** behind the packets already queued, so the epoch boundary is
+//!   exact per shard;
+//! - on the marker, a worker swaps active↔spare, hands the sealed shard
+//!   through its [`SealSlot`] — a one-deep SPSC hand-off cell built on
+//!   the cfg-switched primitives in `src/sync.rs`, so the loom model
+//!   tests interleave the real implementation — and builds its next
+//!   spare;
+//! - `collect` takes the sealed shards and merges them on the *caller's*
+//!   thread — the expensive merge never blocks ingestion, which is
+//!   already filling the next epoch.
 //!
 //! Backpressure instead of loss, everywhere: a full ring retries, a
 //! still-occupied seal slot makes the worker wait for the collector
@@ -40,6 +56,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use traffic::{KeyBytes, KeySpec};
+
+/// Builds one shard sketch; every call yields a merge-compatible one.
+pub(crate) type Factory<S> = Arc<dyn Fn() -> S + Send + Sync>;
 
 /// One ring item of a session: a packet, or the epoch boundary.
 ///
@@ -160,9 +179,39 @@ impl<T> SealSlot<T> {
     }
 }
 
-/// A sealed shard in flight: the sketch plus its packet/weight
-/// accounting for the window.
-type SealedShard<S> = (S, u64, u64);
+/// A shard's sketch with the packet/weight accounting of the window it
+/// covers: the active shard while it ingests, a sealed shard after.
+struct Shard<S> {
+    sketch: S,
+    packets: u64,
+    weight: u64,
+}
+
+impl<S: MergeSketch> Shard<S> {
+    fn new(sketch: S) -> Self {
+        Self {
+            sketch,
+            packets: 0,
+            weight: 0,
+        }
+    }
+
+    /// Run `batch` through the sketch's batched hot path and count it.
+    fn ingest(&mut self, batch: &[(KeyBytes, u64)]) {
+        if batch.is_empty() {
+            return;
+        }
+        self.sketch.update_batch(batch);
+        self.packets += batch.len() as u64;
+        self.weight += batch.iter().map(|&(_, w)| w).sum::<u64>();
+    }
+
+    /// Seal the window: continue on `next` (a fresh sketch) and return
+    /// the sealed shard — an O(1) swap.
+    fn seal(&mut self, next: S) -> Self {
+        std::mem::replace(self, Self::new(next))
+    }
+}
 
 /// Proof token that [`EngineSession::rotate`] was called and the epoch
 /// has not been collected yet; consumed by [`EngineSession::collect`].
@@ -196,6 +245,53 @@ pub struct EpochRun<S = BasicCocoSketch> {
 }
 
 impl<S: MergeSketch> EpochRun<S> {
+    /// Epoch `id` from its sealed shards: the shards fold into one
+    /// sketch under the merge contract, and the conservation claim
+    /// (when the sketch makes one) is checked against the ingested
+    /// weight. Both failure modes are constructively unreachable for
+    /// session-built shards, so they funnel through the invariant
+    /// panic.
+    fn from_shards(id: u64, shards: Vec<Shard<S>>) -> Self {
+        let mut per_shard = Vec::with_capacity(shards.len());
+        let mut packets = 0u64;
+        let mut weight = 0u64;
+        let mut merged: Option<S> = None;
+        for shard in shards {
+            per_shard.push(shard.packets);
+            packets += shard.packets;
+            weight += shard.weight;
+            match &mut merged {
+                None => merged = Some(shard.sketch),
+                Some(acc) => {
+                    if let Err(e) = acc.merge_shard(shard.sketch) {
+                        hashkit::invariant::violated_err(
+                            "shards share one factory by construction",
+                            &e,
+                        );
+                    }
+                }
+            }
+        }
+        let Some(sketch) = merged else {
+            hashkit::invariant::violated("sessions have at least one shard");
+        };
+        if let Some(claimed) = sketch.conserved_weight() {
+            if claimed != weight {
+                hashkit::invariant::violated(&format!(
+                    "merged sketch conserves the stream weight \
+                     (claims {claimed}, ingested {weight})"
+                ));
+            }
+        }
+        Self {
+            id,
+            sketch,
+            packets,
+            weight,
+            per_shard,
+        }
+    }
+
     /// The epoch's records as a query-plane [`FlowTable`] over `full`.
     pub fn flow_table(&self, full: KeySpec) -> FlowTable {
         FlowTable::new(full, self.sketch.records())
@@ -221,20 +317,25 @@ impl<S: MergeSketch> EpochRun<S> {
 /// session with one push and a [`finish`](Self::finish).
 pub struct EngineSession<S: MergeSketch + 'static> {
     config: EngineConfig,
-    rings: Vec<Arc<SpscRing<Cmd>>>,
-    slots: Vec<Arc<SealSlot<SealedShard<S>>>>,
-    done: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<SealedShard<S>>>,
-    stages: Vec<Vec<Cmd>>,
+    runtime: Runtime<S>,
     next_epoch: u64,
     pending: Option<u64>,
 }
 
+/// Where a session's shards run.
+enum Runtime<S: MergeSketch + 'static> {
+    /// One shard, updated on the caller's thread.
+    Inline(Inline<S>),
+    /// One ring-fed worker thread per shard.
+    Workers(Workers<S>),
+}
+
 impl<S: MergeSketch + 'static> ShardedEngine<S> {
-    /// Start a rotating session: spawn the shard workers and return the
-    /// producer handle. Feed it with [`EngineSession::push`], seal
-    /// windows with [`EngineSession::rotate`]/[`EngineSession::collect`],
-    /// and end it with [`EngineSession::finish`].
+    /// Start a rotating session: build the shards (on their worker
+    /// threads when there is more than one) and return the producer
+    /// handle. Feed it with [`EngineSession::push`], seal windows with
+    /// [`EngineSession::rotate`]/[`EngineSession::collect`], and end it
+    /// with [`EngineSession::finish`].
     pub fn session(&self) -> EngineSession<S> {
         EngineSession::start(*self.config(), self.factory())
     }
@@ -249,54 +350,21 @@ impl EngineSession<BasicCocoSketch> {
 }
 
 impl<S: MergeSketch + 'static> EngineSession<S> {
-    pub(crate) fn start(config: EngineConfig, factory: Arc<dyn Fn() -> S + Send + Sync>) -> Self {
+    pub(crate) fn start(config: EngineConfig, factory: Factory<S>) -> Self {
         assert!(config.threads > 0, "need at least one worker thread");
         assert!(config.batch > 0, "producer batch must be positive");
         assert!(
             config.ring_capacity.is_power_of_two(),
             "ring capacity must be a power of two"
         );
-        let rings: Vec<Arc<SpscRing<Cmd>>> = (0..config.threads)
-            .map(|_| Arc::new(SpscRing::new(config.ring_capacity)))
-            .collect();
-        let slots: Vec<Arc<SealSlot<SealedShard<S>>>> = (0..config.threads)
-            .map(|_| Arc::new(SealSlot::new()))
-            .collect();
-        let done = Arc::new(AtomicBool::new(false));
-        let workers = rings
-            .iter()
-            .zip(&slots)
-            .enumerate()
-            .map(|(idx, (ring, slot))| {
-                let ring = Arc::clone(ring);
-                let slot = Arc::clone(slot);
-                let done = Arc::clone(&done);
-                let factory = Arc::clone(&factory);
-                let batch = config.batch;
-                let pin = config.pin;
-                std::thread::spawn(move || {
-                    // Pin before worker_loop builds its shards: the
-                    // first-touch allocations inside (active + spare
-                    // sketches) then land NUMA-local to the pinned
-                    // core. Best-effort, like the one-shot engine.
-                    if pin {
-                        let _ = crate::affinity::pin_current_thread(
-                            crate::affinity::core_for_shard(idx),
-                        );
-                    }
-                    worker_loop(&ring, &slot, &done, &*factory, batch)
-                })
-            })
-            .collect();
+        let runtime = if config.threads == 1 {
+            Runtime::Inline(Inline::start(&config, factory))
+        } else {
+            Runtime::Workers(Workers::start(&config, &factory))
+        };
         Self {
             config,
-            rings,
-            slots,
-            done,
-            workers,
-            stages: (0..config.threads)
-                .map(|_| Vec::with_capacity(config.batch))
-                .collect(),
+            runtime,
             next_epoch: 0,
             pending: None,
         }
@@ -310,18 +378,244 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
     /// Ingest one pre-projected packet.
     #[inline]
     pub fn push(&mut self, key: KeyBytes, w: u64) {
-        let shard = ShardedEngine::<S>::shard_of(&key, self.config.threads);
-        self.stages[shard].push(Cmd::Pkt(key, w)); // LINT: bounded(shard_of() < threads = stages.len())
-                                                   // LINT: bounded(same shard_of() bound)
-        if self.stages[shard].len() == self.config.batch {
-            self.flush(shard);
+        match &mut self.runtime {
+            Runtime::Inline(shard) => shard.push(key, w),
+            Runtime::Workers(workers) => workers.push(key, w),
         }
     }
 
-    /// Ingest a batch of pre-projected packets.
+    /// Ingest a batch of pre-projected packets. One shard takes the
+    /// slice straight into its batched hot path.
     pub fn push_batch(&mut self, packets: &[(KeyBytes, u64)]) {
-        for &(key, w) in packets {
-            self.push(key, w);
+        match &mut self.runtime {
+            Runtime::Inline(shard) => shard.push_batch(packets),
+            Runtime::Workers(workers) => {
+                for &(key, w) in packets {
+                    workers.push(key, w);
+                }
+            }
+        }
+    }
+
+    /// Seal the current epoch *without stopping ingestion*: packets
+    /// pushed after this call land in the next epoch. One shard swaps
+    /// its active sketch for the spare; more flush their stages and
+    /// push an in-band [`Cmd::Seal`] marker down every ring, and the
+    /// workers hand their sealed shards off asynchronously. Take the
+    /// epoch (merged off the hot path) with [`collect`](Self::collect).
+    ///
+    /// # Panics
+    /// Panics when the previous epoch has not been collected yet: the
+    /// seal slots are one deep, so rotation outrunning collection would
+    /// stall the workers.
+    pub fn rotate(&mut self) -> PendingEpoch {
+        assert!(
+            self.pending.is_none(),
+            "collect the pending epoch before rotating again"
+        );
+        match &mut self.runtime {
+            Runtime::Inline(shard) => shard.seal(),
+            Runtime::Workers(workers) => workers.seal(),
+        }
+        let id = self.next_epoch;
+        self.next_epoch += 1;
+        self.pending = Some(id);
+        PendingEpoch { id }
+    }
+
+    /// The sealed epoch. One shard returns it at once; with more, each
+    /// worker's sealed shard is waited for and they merge on the
+    /// caller's thread, while the workers ingest the next epoch.
+    pub fn collect(&mut self, pending: PendingEpoch) -> EpochRun<S> {
+        debug_assert_eq!(self.pending, Some(pending.id));
+        let shards = match &mut self.runtime {
+            Runtime::Inline(shard) => vec![shard.take_sealed()],
+            Runtime::Workers(workers) => workers.take_sealed(),
+        };
+        self.pending = None;
+        EpochRun::from_shards(pending.id, shards)
+    }
+
+    /// [`rotate`](Self::rotate) + [`collect`](Self::collect) in one
+    /// call, for callers that do not overlap collection with ingest.
+    pub fn rotate_collect(&mut self) -> EpochRun<S> {
+        let pending = self.rotate();
+        self.collect(pending)
+    }
+
+    /// End the session: seal whatever has been ingested since the last
+    /// rotation as the final epoch, join the workers (if any), and
+    /// merge.
+    ///
+    /// # Panics
+    /// Panics when a rotated epoch has not been collected, or when a
+    /// worker panicked (the payload is re-raised).
+    pub fn finish(self) -> EpochRun<S> {
+        assert!(
+            self.pending.is_none(),
+            "collect the pending epoch before finishing"
+        );
+        let shards = match self.runtime {
+            Runtime::Inline(shard) => vec![shard.finish()],
+            Runtime::Workers(workers) => workers.finish(),
+        };
+        EpochRun::from_shards(self.next_epoch, shards)
+    }
+}
+
+/// The one-shard runtime: the caller's thread updates the shard.
+struct Inline<S> {
+    factory: Factory<S>,
+    batch: usize,
+    /// Packets `push` staged for the next batch.
+    stage: Vec<(KeyBytes, u64)>,
+    active: Shard<S>,
+    /// The pre-built sketch `seal` swaps in; `None` from a rotation
+    /// until the next push builds its replacement.
+    spare: Option<S>,
+    /// The shard `seal` set aside, until `collect` takes it.
+    sealed: Option<Shard<S>>,
+}
+
+impl<S: MergeSketch> Inline<S> {
+    fn start(config: &EngineConfig, factory: Factory<S>) -> Self {
+        // Pin before building the shard and its spare, so their
+        // first-touch pages land NUMA-local to the core that ingests.
+        // Best-effort, like the workers' pinning.
+        if config.pin {
+            let _ = crate::affinity::pin_current_thread(crate::affinity::core_for_shard(0));
+        }
+        let active = Shard::new(factory());
+        let spare = Some(factory());
+        Self {
+            factory,
+            batch: config.batch,
+            stage: Vec::with_capacity(config.batch),
+            active,
+            spare,
+            sealed: None,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: KeyBytes, w: u64) {
+        if self.spare.is_none() {
+            self.build_spare();
+        }
+        self.stage.push((key, w));
+        if self.stage.len() == self.batch {
+            self.flush();
+        }
+    }
+
+    fn push_batch(&mut self, packets: &[(KeyBytes, u64)]) {
+        if self.spare.is_none() {
+            self.build_spare();
+        }
+        self.flush();
+        self.active.ingest(packets);
+    }
+
+    /// The first push after a rotation builds the next spare: after the
+    /// sealed epoch was handed off, before the next seal needs it.
+    #[cold]
+    fn build_spare(&mut self) {
+        self.spare = Some((self.factory)());
+    }
+
+    fn flush(&mut self) {
+        self.active.ingest(&self.stage);
+        self.stage.clear();
+    }
+
+    fn seal(&mut self) {
+        self.flush();
+        // Pushes rebuild the spare, so it is missing only when nothing
+        // was pushed since the last rotation: the epoch is empty, and
+        // building its successor here is the only work it has.
+        let next = match self.spare.take() {
+            Some(next) => next,
+            None => (self.factory)(),
+        };
+        self.sealed = Some(self.active.seal(next));
+    }
+
+    fn take_sealed(&mut self) -> Shard<S> {
+        match self.sealed.take() {
+            Some(sealed) => sealed,
+            None => hashkit::invariant::violated("a rotated session holds its sealed shard"),
+        }
+    }
+
+    fn finish(mut self) -> Shard<S> {
+        self.flush();
+        self.active
+    }
+}
+
+/// The ring runtime: one worker thread, ring and seal slot per shard.
+struct Workers<S: MergeSketch + 'static> {
+    batch: usize,
+    rings: Vec<Arc<SpscRing<Cmd>>>,
+    slots: Vec<Arc<SealSlot<Shard<S>>>>,
+    done: Arc<AtomicBool>,
+    workers: Vec<JoinHandle<Shard<S>>>,
+    stages: Vec<Vec<Cmd>>,
+}
+
+impl<S: MergeSketch + 'static> Workers<S> {
+    fn start(config: &EngineConfig, factory: &Factory<S>) -> Self {
+        let rings: Vec<Arc<SpscRing<Cmd>>> = (0..config.threads)
+            .map(|_| Arc::new(SpscRing::new(config.ring_capacity)))
+            .collect();
+        let slots: Vec<Arc<SealSlot<Shard<S>>>> = (0..config.threads)
+            .map(|_| Arc::new(SealSlot::new()))
+            .collect();
+        let done = Arc::new(AtomicBool::new(false));
+        let workers = rings
+            .iter()
+            .zip(&slots)
+            .enumerate()
+            .map(|(idx, (ring, slot))| {
+                let ring = Arc::clone(ring);
+                let slot = Arc::clone(slot);
+                let done = Arc::clone(&done);
+                let factory = Arc::clone(factory);
+                let batch = config.batch;
+                let pin = config.pin;
+                std::thread::spawn(move || {
+                    // Pin before worker_loop builds its shards: the
+                    // first-touch allocations inside (active + spare
+                    // sketches) then land NUMA-local to the pinned
+                    // core. Best-effort, like the one-shard session.
+                    if pin {
+                        let _ = crate::affinity::pin_current_thread(
+                            crate::affinity::core_for_shard(idx),
+                        );
+                    }
+                    worker_loop(&ring, &slot, &done, &*factory, batch)
+                })
+            })
+            .collect();
+        Self {
+            batch: config.batch,
+            rings,
+            slots,
+            done,
+            workers,
+            stages: (0..config.threads)
+                .map(|_| Vec::with_capacity(config.batch))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: KeyBytes, w: u64) {
+        let shard = ShardedEngine::<S>::shard_of(&key, self.stages.len());
+        self.stages[shard].push(Cmd::Pkt(key, w)); // LINT: bounded(shard_of() < stages.len())
+                                                   // LINT: bounded(same shard_of() bound)
+        if self.stages[shard].len() == self.batch {
+            self.flush(shard);
         }
     }
 
@@ -340,10 +634,9 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
 
     /// One round of waiting on worker `shard` — its ring is full, or its
     /// sealed shard has not arrived: yield, unless the worker has
-    /// already exited. Workers return only after [`finish`](Self::finish)
-    /// sets `done`, so an early exit is a panic; re-raise its payload,
-    /// as `finish` does, instead of waiting forever on a consumer that
-    /// is gone.
+    /// already exited. Workers return only after `finish` sets `done`,
+    /// so an early exit is a panic; re-raise its payload, as `finish`
+    /// does, instead of waiting forever on a consumer that is gone.
     fn wait_on(&mut self, shard: usize) {
         // LINT: bounded(callers pass shard < threads = workers.len(); finish/Drop are the only drains)
         if self.workers[shard].is_finished() {
@@ -355,117 +648,52 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
         std::thread::yield_now();
     }
 
-    /// Seal the current epoch *without stopping ingestion*: flush the
-    /// stages and push an in-band [`Cmd::Seal`] marker down every ring.
-    /// Packets pushed after this call land in the next epoch. The
-    /// sealed shards are handed off asynchronously; merge them (off the
-    /// hot path) with [`collect`](Self::collect).
-    ///
-    /// # Panics
-    /// Panics when the previous epoch has not been collected yet: the
-    /// seal slots are one deep, so rotation outrunning collection would
-    /// stall the workers.
-    pub fn rotate(&mut self) -> PendingEpoch {
-        assert!(
-            self.pending.is_none(),
-            "collect the pending epoch before rotating again"
-        );
-        for shard in 0..self.config.threads {
+    /// Flush every stage, then push one seal marker down every ring.
+    fn seal(&mut self) {
+        for shard in 0..self.rings.len() {
             self.flush(shard);
         }
-        for shard in 0..self.config.threads {
+        for shard in 0..self.rings.len() {
             // LINT: bounded(shard < threads = rings.len())
             while self.rings[shard].push(Cmd::Seal).is_err() {
                 self.wait_on(shard);
             }
         }
-        let id = self.next_epoch;
-        self.next_epoch += 1;
-        self.pending = Some(id);
-        PendingEpoch { id }
     }
 
-    /// Wait for every worker's sealed shard and merge them into the
-    /// epoch's sketch — on the caller's thread, while the workers
-    /// ingest the next epoch.
-    pub fn collect(&mut self, pending: PendingEpoch) -> EpochRun<S> {
-        debug_assert_eq!(self.pending, Some(pending.id));
-        let mut shards = Vec::with_capacity(self.config.threads);
-        let mut per_shard = Vec::with_capacity(self.config.threads);
-        let mut packets = 0u64;
-        let mut weight = 0u64;
-        for shard in 0..self.config.threads {
-            let (sketch, shard_packets, shard_weight) = loop {
+    /// Wait for every worker's sealed shard.
+    fn take_sealed(&mut self) -> Vec<Shard<S>> {
+        (0..self.slots.len())
+            .map(|shard| loop {
                 // LINT: bounded(shard < threads = slots.len())
                 match self.slots[shard].try_take() {
                     Some(sealed) => break sealed,
                     None => self.wait_on(shard),
                 }
-            };
-            shards.push(sketch);
-            per_shard.push(shard_packets);
-            packets += shard_packets;
-            weight += shard_weight;
-        }
-        self.pending = None;
-        EpochRun {
-            id: pending.id,
-            sketch: crate::sharded::merge_shards(shards, weight),
-            packets,
-            weight,
-            per_shard,
-        }
+            })
+            .collect()
     }
 
-    /// [`rotate`](Self::rotate) + [`collect`](Self::collect) in one
-    /// call, for callers that do not overlap collection with ingest.
-    pub fn rotate_collect(&mut self) -> EpochRun<S> {
-        let pending = self.rotate();
-        self.collect(pending)
-    }
-
-    /// End the session: seal whatever has been ingested since the last
-    /// rotation as the final epoch, join the workers, and merge.
-    ///
-    /// # Panics
-    /// Panics when a rotated epoch has not been collected, or when a
-    /// worker panicked (the payload is re-raised).
-    pub fn finish(mut self) -> EpochRun<S> {
-        assert!(
-            self.pending.is_none(),
-            "collect the pending epoch before finishing"
-        );
-        for shard in 0..self.config.threads {
+    /// Flush the stages, release the workers and join them: each
+    /// returns its active shard.
+    fn finish(mut self) -> Vec<Shard<S>> {
+        for shard in 0..self.rings.len() {
             self.flush(shard);
         }
         self.done.store(true, Ordering::Release);
-        let mut shards = Vec::with_capacity(self.config.threads);
-        let mut per_shard = Vec::with_capacity(self.config.threads);
-        let mut packets = 0u64;
-        let mut weight = 0u64;
-        for worker in self.workers.drain(..) {
-            let (sketch, shard_packets, shard_weight) = match worker.join() {
-                Ok(result) => result,
+        self.workers
+            .drain(..)
+            .map(|worker| match worker.join() {
+                Ok(shard) => shard,
                 // A worker panic is a bug in the shard update path
                 // itself; re-raise it with its original payload.
                 Err(payload) => std::panic::resume_unwind(payload),
-            };
-            shards.push(sketch);
-            per_shard.push(shard_packets);
-            packets += shard_packets;
-            weight += shard_weight;
-        }
-        EpochRun {
-            id: self.next_epoch,
-            sketch: crate::sharded::merge_shards(shards, weight),
-            packets,
-            weight,
-            per_shard,
-        }
+            })
+            .collect()
     }
 }
 
-impl<S: MergeSketch + 'static> Drop for EngineSession<S> {
+impl<S: MergeSketch + 'static> Drop for Workers<S> {
     fn drop(&mut self) {
         if self.workers.is_empty() {
             return; // finished normally
@@ -487,19 +715,17 @@ impl<S: MergeSketch + 'static> Drop for EngineSession<S> {
 /// swap the double buffer and hand the sealed shard off.
 fn worker_loop<S: MergeSketch>(
     ring: &SpscRing<Cmd>,
-    slot: &SealSlot<SealedShard<S>>,
+    slot: &SealSlot<Shard<S>>,
     done: &AtomicBool,
     factory: &(dyn Fn() -> S + Send + Sync),
     batch: usize,
-) -> SealedShard<S> {
-    let mut active = factory();
+) -> Shard<S> {
+    let mut active = Shard::new(factory());
     // The double buffer: a pre-built spare makes the seal-path swap
     // O(1) — the replacement construction happens after the hand-off.
     let mut spare = Some(factory());
     let mut chunk: Vec<Cmd> = Vec::with_capacity(batch);
     let mut pkts: Vec<(KeyBytes, u64)> = Vec::with_capacity(batch);
-    let mut packets = 0u64;
-    let mut weight = 0u64;
     loop {
         chunk.clear();
         if ring.pop_chunk(&mut chunk, batch) > 0 {
@@ -507,22 +733,15 @@ fn worker_loop<S: MergeSketch>(
                 match cmd {
                     Cmd::Pkt(key, w) => pkts.push((key, w)),
                     Cmd::Seal => {
-                        if !pkts.is_empty() {
-                            active.update_batch(&pkts);
-                            packets += pkts.len() as u64;
-                            weight += pkts.iter().map(|&(_, w)| w).sum::<u64>();
-                            pkts.clear();
-                        }
+                        active.ingest(&pkts);
+                        pkts.clear();
                         let next = match spare.take() {
                             Some(next) => next,
                             // Unreachable: the spare is rebuilt right
                             // after every hand-off below.
                             None => factory(),
                         };
-                        let sealed = std::mem::replace(&mut active, next);
-                        let mut payload = (sealed, packets, weight);
-                        packets = 0;
-                        weight = 0;
+                        let mut payload = active.seal(next);
                         loop {
                             match slot.try_put(payload) {
                                 Ok(()) => break,
@@ -541,12 +760,8 @@ fn worker_loop<S: MergeSketch>(
                     }
                 }
             }
-            if !pkts.is_empty() {
-                active.update_batch(&pkts);
-                packets += pkts.len() as u64;
-                weight += pkts.iter().map(|&(_, w)| w).sum::<u64>();
-                pkts.clear();
-            }
+            active.ingest(&pkts);
+            pkts.clear();
         } else if done.load(Ordering::Acquire) && ring.is_empty() {
             break;
         } else {
@@ -555,7 +770,7 @@ fn worker_loop<S: MergeSketch>(
             std::thread::yield_now();
         }
     }
-    (active, packets, weight)
+    active
 }
 
 #[cfg(test)]
@@ -621,7 +836,7 @@ mod tests {
     fn epoch_matches_one_shot_run_bit_for_bit() {
         // A single sealed epoch must be indistinguishable from the
         // one-shot engine over the same packets — at one thread, where
-        // `run` takes the inline single-shard path, and beyond.
+        // both update the shard on the caller's thread, and beyond.
         let pkts = packets(20_000, 2);
         for threads in [1, 2, 4] {
             let cfg = EngineConfig {
@@ -754,14 +969,92 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_session_does_not_hang() {
-        let mut session = EngineSession::coco(EngineConfig {
-            threads: 2,
+    fn one_shard_epochs_match_one_update_batch_per_window() {
+        // At one thread the caller's thread updates the shard. However
+        // pushes split a window — single packets or slices just under,
+        // at and over the batch size, or a 4096-packet slice — and
+        // wherever rotations fall (one seals an empty window, one is
+        // collected after the next window's first pushes), each epoch
+        // must equal one `update_batch` over exactly its window on a
+        // fresh factory sketch. The sketch is small, so replacements
+        // make its records depend on the order packets arrive in.
+        let cfg = EngineConfig {
+            buckets: 64,
             ..EngineConfig::default()
-        });
-        session.push_batch(&packets(1_000, 8));
-        let _pending = session.rotate();
-        drop(session); // uncollected epoch: Drop must still join
+        };
+        assert_eq!(cfg.threads, 1);
+        let b = cfg.batch;
+        let stream = packets(30_000, 12);
+        // Per window, its pushes: (one packet per `push`, packets).
+        let windows: Vec<Vec<(bool, usize)>> = vec![
+            vec![(true, 1), (false, b - 1), (true, b), (false, b + 1)],
+            vec![],
+            vec![(false, 4096), (true, b + 1), (false, 1), (true, b - 1)],
+            vec![(true, 4096), (false, b)],
+            vec![(false, b - 1), (true, 1)],
+        ];
+        let fresh = || BasicCocoSketch::new(cfg.d, cfg.buckets, cfg.key_bytes, cfg.seed);
+        let mut session = EngineSession::coco(cfg);
+        let mut rest = &stream[..];
+        let mut epochs = Vec::new();
+        let mut spans = Vec::new();
+        let mut pending: Option<PendingEpoch> = None;
+        for (w, pushes) in windows.iter().enumerate() {
+            let span = pushes.iter().map(|&(_, n)| n).sum::<usize>();
+            let (window, tail) = rest.split_at(span);
+            rest = tail;
+            let mut at = 0;
+            for &(one_by_one, n) in pushes {
+                let part = &window[at..at + n];
+                at += n;
+                if one_by_one {
+                    for &(key, weight) in part {
+                        session.push(key, weight);
+                    }
+                } else {
+                    session.push_batch(part);
+                }
+                // Window 3's first push lands while window 2 is still
+                // sealed and uncollected.
+                if let Some(p) = pending.take() {
+                    epochs.push(session.collect(p));
+                }
+            }
+            spans.push(window);
+            if w == 2 {
+                pending = Some(session.rotate());
+            } else if w + 1 < windows.len() {
+                epochs.push(session.rotate_collect());
+            }
+        }
+        epochs.push(session.finish());
+        assert_eq!(epochs.len(), windows.len());
+        for (id, (epoch, window)) in epochs.iter().zip(&spans).enumerate() {
+            let mut single = fresh();
+            single.update_batch(window);
+            let mut want = single.records();
+            let mut got = epoch.sketch.records();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(epoch.id, id as u64);
+            assert_eq!(got, want, "epoch {id} records");
+            assert_eq!(epoch.packets, window.len() as u64, "epoch {id} packets");
+            assert_eq!(epoch.weight, weight_of(window), "epoch {id} weight");
+            assert_eq!(epoch.per_shard, vec![window.len() as u64], "epoch {id}");
+        }
+    }
+
+    #[test]
+    fn abandoned_session_does_not_hang() {
+        for threads in [1, 2] {
+            let mut session = EngineSession::coco(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            session.push_batch(&packets(1_000, 8));
+            let _pending = session.rotate();
+            drop(session); // uncollected epoch: Drop must still join
+        }
     }
 
     /// A shard that panics once it has seen `k` packets: a stand-in for
@@ -810,14 +1103,16 @@ mod tests {
         // A worker that dies stops draining its ring; the producer must
         // re-raise the worker's panic from whichever wait it is in —
         // ring full (flush, rotate) or sealed shard missing (collect) —
-        // instead of yielding forever. The session runs on a helper
-        // thread behind a watchdog so a hang fails the test.
+        // instead of yielding forever. A single shard has no worker:
+        // its panic unwinds on the caller, inside `push_batch`. The
+        // session runs on a helper thread behind a watchdog so a hang
+        // fails the test.
         use std::sync::mpsc;
         use std::time::Duration;
         let key_bytes = KeySpec::FIVE_TUPLE.key_bytes();
-        // (threads, packets, rotate before finish): a long push blocks
-        // in flush on the dead worker's full ring; a short one fits in
-        // the ring and blocks in collect on the missing sealed shard.
+        // (threads, packets, rotate before finish): at two threads the
+        // long push blocks in flush on the dead worker's full ring; at
+        // one, the shard panics inside the push itself.
         for (threads, n, rotate) in [(2, 50_000, false), (1, 120, true)] {
             let (tx, rx) = mpsc::channel();
             let helper = std::thread::spawn(move || {
@@ -833,9 +1128,11 @@ mod tests {
                     inner: CmHeap::with_memory(16 * 1024, key_bytes, 0xC0C0),
                 });
                 let pkts = packets(n, 9);
+                let mut pushed = false;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut session = eng.session();
                     session.push_batch(&pkts);
+                    pushed = true;
                     if rotate {
                         session.rotate_collect();
                     }
@@ -848,9 +1145,9 @@ mod tests {
                         .cloned()
                         .unwrap_or_else(|| String::from("non-string panic")),
                 };
-                let _ = tx.send(message);
+                let _ = tx.send((message, pushed));
             });
-            let message = rx
+            let (message, pushed) = rx
                 .recv_timeout(Duration::from_secs(30))
                 .unwrap_or_else(|_| {
                     panic!("session hung on a panicked worker ({threads} threads, {n} packets)")
@@ -860,6 +1157,9 @@ mod tests {
                 message.contains("injected shard fault at packet 100"),
                 "worker panic not re-raised ({threads} threads, {n} packets): {message}"
             );
+            if threads == 1 {
+                assert!(!pushed, "a single shard panics inside push_batch");
+            }
         }
     }
 }

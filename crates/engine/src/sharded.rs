@@ -8,9 +8,10 @@
 //! workers through a private lock-free SPSC ring in batches, and each
 //! worker drains its ring into a private sketch shard via the batched
 //! hot path. At the end the shards fold into one queryable sketch via
-//! [`MergeSketch::merge_shard`]. The threads, rings and merge are the
-//! [`crate::EngineSession`] runtime: a one-shot [`ShardedEngine::run`]
-//! is a session sealed once.
+//! [`MergeSketch::merge_shard`]. One shard needs no partition, ring or
+//! worker: the ingesting thread updates it directly. Both shapes are
+//! the [`crate::EngineSession`] runtime, and a one-shot
+//! [`ShardedEngine::run`] is a session sealed once.
 //!
 //! [`ShardedEngine`] is generic over the shard type: any sketch
 //! implementing the merge contract ingests sharded — CocoSketch with
@@ -31,6 +32,7 @@
 //! fixed `(trace, config)` the merged sketch is bit-identical across
 //! runs regardless of thread scheduling.
 
+use crate::session::Factory;
 use cocosketch::{BasicCocoSketch, FlowTable};
 use hashkit::{bob_hash, fastrange};
 use sketches::MergeSketch;
@@ -48,12 +50,15 @@ const RSS_SEED: u32 = 0x5255_5353; // "RUSS"
 /// ignored by engines built over other shard factories.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads (= rings = sketch shards).
+    /// Sketch shards. Above one, each shard has its own worker thread
+    /// and ring; a single shard is updated on the caller's thread.
     pub threads: usize,
     /// Ring capacity per worker, in packets (power of two).
     pub ring_capacity: usize,
     /// Producer-side staging batch per shard; flushed through
-    /// [`crate::SpscRing::push_slice`] so ring atomics amortize over the batch.
+    /// [`crate::SpscRing::push_slice`] so ring atomics amortize over the
+    /// batch, or with one shard straight into the sketch's batched hot
+    /// path.
     pub batch: usize,
     /// Sketch arrays per shard.
     pub d: usize,
@@ -68,8 +73,9 @@ pub struct EngineConfig {
     /// first touch lands its pages on the pinned core's NUMA node.
     /// Best-effort: a failed pin degrades to unpinned ingestion.
     /// Sketch contents are unaffected either way — pinning only moves
-    /// where the work runs. With `threads == 1` the *calling* thread
-    /// is pinned (and stays pinned after the run).
+    /// where the work runs. With `threads == 1` there is no worker: the
+    /// thread that starts the session is pinned before the shard is
+    /// built, and stays pinned after the session ends.
     pub pin: bool,
 }
 
@@ -98,10 +104,10 @@ pub struct EngineRun<S = BasicCocoSketch> {
     pub processed: u64,
     /// Per-shard processed counts, for load-balance diagnostics.
     pub per_shard: Vec<u64>,
-    /// Wall time of the run. With more than one thread it spans worker
-    /// start-up, ingest and the final merge; the single-shard run times
-    /// the ingest alone (its one-shard "merge" is only the
-    /// conservation check).
+    /// Wall time of the run, from session start to finish at every
+    /// thread count: shard construction (and worker start-up, with
+    /// more than one thread), ingest and the final merge (with one
+    /// shard, only the conservation check).
     pub elapsed: Duration,
     /// Wall-clock ingest rate in million packets per second.
     pub mpps: f64,
@@ -117,39 +123,11 @@ impl<S: MergeSketch> EngineRun<S> {
     }
 }
 
-/// Fold `shards` into one sketch under the merge contract, then check
-/// the conservation claim (when the sketch makes one) against the
-/// ingested weight. Shared by [`ShardedEngine::run`] and
-/// [`crate::EngineSession::collect`]; both failure modes are
-/// constructively unreachable for engine-built shards, so they funnel
-/// through the invariant panic.
-pub(crate) fn merge_shards<S: MergeSketch>(shards: Vec<S>, ingested_weight: u64) -> S {
-    let mut iter = shards.into_iter();
-    let mut acc = match iter.next() {
-        Some(first) => first,
-        None => hashkit::invariant::violated("engines have at least one shard"),
-    };
-    for shard in iter {
-        if let Err(e) = acc.merge_shard(shard) {
-            hashkit::invariant::violated_err("shards share one factory by construction", &e);
-        }
-    }
-    if let Some(claimed) = acc.conserved_weight() {
-        if claimed != ingested_weight {
-            hashkit::invariant::violated(&format!(
-                "merged sketch conserves the stream weight \
-                 (claims {claimed}, ingested {ingested_weight})"
-            ));
-        }
-    }
-    acc
-}
-
 /// The sharded ingestion engine, generic over the shard sketch.
 /// Construct once, [`run`](Self::run) per trace.
 pub struct ShardedEngine<S> {
     config: EngineConfig,
-    factory: Arc<dyn Fn() -> S + Send + Sync>,
+    factory: Factory<S>,
 }
 
 /// The CocoSketch instantiation of [`ShardedEngine`] — the engine the
@@ -182,7 +160,7 @@ impl<S: MergeSketch + 'static> ShardedEngine<S> {
     }
 
     /// The shard factory (shared with [`crate::EngineSession`]).
-    pub(crate) fn factory(&self) -> Arc<dyn Fn() -> S + Send + Sync> {
+    pub(crate) fn factory(&self) -> Factory<S> {
         Arc::clone(&self.factory)
     }
 
@@ -190,47 +168,13 @@ impl<S: MergeSketch + 'static> ShardedEngine<S> {
     /// division-free. Pure, so every packet of a flow agrees.
     #[inline]
     pub fn shard_of(key: &KeyBytes, threads: usize) -> usize {
-        if threads == 1 {
-            return 0;
-        }
         fastrange(bob_hash(key.as_slice(), RSS_SEED), threads)
     }
 
-    fn make_shard(&self) -> S {
-        (self.factory)()
-    }
-
-    /// Ingest pre-projected packets and return the merged sketch.
-    ///
-    /// With more than one thread this is an [`crate::EngineSession`]
-    /// sealed once: the one-shot run and the rotating session share a
-    /// single producer→ring→shard→merge runtime.
+    /// Ingest pre-projected packets and return the merged sketch: an
+    /// [`crate::EngineSession`] sealed once, so the one-shot run and
+    /// the rotating session share one runtime at every thread count.
     pub fn run(&self, packets: &[(KeyBytes, u64)]) -> EngineRun<S> {
-        let cfg = self.config;
-        if cfg.threads == 1 {
-            // Single shard: no ring, no thread — the batched hot path
-            // on the caller's thread is the honest baseline. Pin (when
-            // asked) before allocating the shard: first touch then
-            // happens on the pinned core.
-            if cfg.pin {
-                let _ = crate::affinity::pin_current_thread(crate::affinity::core_for_shard(0));
-            }
-            let mut sketch = self.make_shard();
-            let start = Instant::now();
-            sketch.update_batch(packets);
-            let elapsed = start.elapsed();
-            let processed = packets.len() as u64;
-            let weight: u64 = packets.iter().map(|&(_, w)| w).sum();
-            let sketch = merge_shards(vec![sketch], weight);
-            return EngineRun {
-                sketch,
-                processed,
-                per_shard: vec![processed],
-                elapsed,
-                mpps: processed as f64 / elapsed.as_secs_f64().max(1e-12) / 1e6,
-            };
-        }
-
         let start = Instant::now();
         let mut session = self.session();
         session.push_batch(packets);

@@ -213,7 +213,7 @@ mod tests {
             cm.insert(&k(i), u64::from(i % 7) + 1);
         }
         for i in 0..500u32 {
-            assert!(cm.estimate(&k(i)) >= u64::from(i % 7) + 1, "flow {i}");
+            assert!(cm.estimate(&k(i)) > u64::from(i % 7), "flow {i}");
         }
     }
 

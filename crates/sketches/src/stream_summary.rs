@@ -543,7 +543,7 @@ mod tests {
             } else {
                 next_key += 1;
                 let w = 1 + rng.next_u64() % 5;
-                let replace = rng.next_u64() % 2 == 0;
+                let replace = rng.next_u64() & 1 == 0;
                 let min_model = *model.values().min().unwrap();
                 let (old, before) = ss.bump_min(w, if replace { Some(k(next_key)) } else { None });
                 assert_eq!(before, min_model, "victim must hold the global min");

@@ -219,7 +219,7 @@ mod tests {
         tcp[0..2].copy_from_slice(&sport.to_be_bytes());
         tcp[2..4].copy_from_slice(&dport.to_be_bytes());
         f.extend_from_slice(&tcp);
-        f.extend(std::iter::repeat(0u8).take(payload));
+        f.resize(f.len() + payload, 0);
         f
     }
 

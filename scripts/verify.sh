@@ -76,8 +76,10 @@ gate_begin "cargo build --release --features simd (bench binaries)"
 cargo build -q --release -p cocosketch-bench --features simd
 gate_end "simd-build"
 
-gate_begin "cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches and examples are linted too, not only
+# the libraries and binaries.
+gate_begin "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 gate_end "clippy"
 
 gate_begin "cargo doc (rustdoc warnings are errors)"
