@@ -5,11 +5,15 @@
 //!
 //! 1. the scalar per-packet [`Sketch::update`] loop (the pre-engine
 //!    baseline, and the oracle the batched path is checked against),
-//! 2. the single-shard engine (a one-shard session on this thread:
-//!    the batched hot path — lane-parallel hashing + prefetched probe —
-//!    with no rings; timed from session start to finish),
-//! 3. the sharded engine at each requested thread count (real rings
-//!    and worker threads; conservation asserted on every run).
+//! 2. the batched hot path alone — [`Sketch::update_batch`] over the
+//!    whole trace on a fresh single-shard sketch: lane-parallel hashing
+//!    and a prefetched probe, with no session around it. This is the
+//!    per-thread capacity (`single_shard_batched_mpps`) that the `mpps`
+//!    model scales and `scripts/bench_compare.sh` gates;
+//! 3. the engine at each requested thread count, timed from session
+//!    start to finish: at one thread a one-shard session on this
+//!    thread, beyond it real rings and worker threads (conservation
+//!    asserted on every run).
 //!
 //! Before any timed run the batched path is asserted *bit-identical*
 //! to the scalar oracle on the benchmark trace itself — identical
@@ -165,20 +169,17 @@ fn main() {
         args.pin
     );
 
+    // A fresh single-shard sketch, as the one-shard engine builds it.
+    let fresh = || {
+        cocosketch::BasicCocoSketch::with_memory(MEM, 2, KeySpec::FIVE_TUPLE.key_bytes(), args.seed)
+    };
+
     // Bit-identity gate, before anything is timed: the batched path
     // (SIMD hashing, prefetch, pipelining) must produce the *identical*
     // sketch to the scalar per-packet oracle on this very trace.
     {
-        let mk = || {
-            cocosketch::BasicCocoSketch::with_memory(
-                MEM,
-                2,
-                KeySpec::FIVE_TUPLE.key_bytes(),
-                args.seed,
-            )
-        };
-        let mut oracle = mk();
-        let mut batched = mk();
+        let mut oracle = fresh();
+        let mut batched = fresh();
         for (key, w) in &packets {
             oracle.update(key, *w);
         }
@@ -198,12 +199,7 @@ fn main() {
     // Baseline 1: the scalar per-packet loop.
     let mut scalar_reps = Vec::with_capacity(args.reps);
     for _ in 0..args.reps {
-        let mut scalar = cocosketch::BasicCocoSketch::with_memory(
-            MEM,
-            2,
-            KeySpec::FIVE_TUPLE.key_bytes(),
-            args.seed,
-        );
+        let mut scalar = fresh();
         let start = Instant::now();
         for (key, w) in &packets {
             scalar.update(key, *w);
@@ -213,13 +209,20 @@ fn main() {
     }
     let (scalar_mpps, scalar_var) = mean_var(&scalar_reps);
 
-    // Baseline 2: single shard through the batched hot path — this is
-    // the per-thread capacity the scaling model extrapolates from.
+    // Baseline 2: the batched hot path alone — the per-thread capacity
+    // the scaling model extrapolates from. The threads-1 row below
+    // times the same kernel inside a whole one-shard session. Pinned
+    // like that session: before the sketch is allocated.
+    if args.pin {
+        let _ = engine::pin_current_thread(engine::core_for_shard(0));
+    }
     let mut single_reps = Vec::with_capacity(args.reps);
     for _ in 0..args.reps {
-        let single = ShardedCocoSketch::with_memory(MEM, config(1)).run(&packets);
-        assert_eq!(single.sketch.total_value(), total_weight);
-        single_reps.push(single.mpps);
+        let mut single = fresh();
+        let start = Instant::now();
+        single.update_batch(&packets);
+        single_reps.push(packets.len() as f64 / start.elapsed().as_secs_f64().max(1e-12) / 1e6);
+        assert_eq!(single.total_value(), total_weight);
     }
     let (per_thread_capacity, single_var) = mean_var(&single_reps);
     eprintln!(

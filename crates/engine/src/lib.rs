@@ -12,18 +12,20 @@
 //!   [`pop_chunk`](ring::SpscRing::pop_chunk) so ring atomics amortize
 //!   over packet batches;
 //! - [`session::EngineSession`]: the engine's one runtime, with an
-//!   epoch lifecycle. Every shard double-buffers its sketch, so
-//!   [`rotate`](session::EngineSession::rotate) seals a window exactly
-//!   without stopping ingestion, and
+//!   epoch lifecycle. Every shard runs one state machine: it stages
+//!   packets into its sketch's batched hot path and double-buffers the
+//!   sketch, so [`rotate`](session::EngineSession::rotate) seals a
+//!   window exactly without stopping ingestion, and
 //!   [`collect`](session::EngineSession::collect) returns it as an
 //!   [`session::EpochRun`] (persistable as a [`cocosketch::Epoch`]). A
-//!   single shard is updated on the caller's thread, with no worker,
-//!   ring or seal slot. More shards run producer→ring→shard→merge:
-//!   `rotate` pushes in-band seal markers through the rings, workers
-//!   hand sealed shards through a one-deep [`session::SealSlot`], and
-//!   `collect` merges them off the hot path. A worker panic is
-//!   re-raised on the producer from whichever wait it is in, never
-//!   turned into a hang;
+//!   single shard's state machine runs on the caller's thread, with no
+//!   worker or ring. More shards run producer→ring→shard→merge: each
+//!   worker drives its shard from its ring, where in-band
+//!   [`session::Cmd::Seal`] and [`session::Cmd::Stop`] markers seal an
+//!   epoch (the worker sends the sealed shard back on a one-deep
+//!   channel) and end the stream, and `collect` merges the sealed
+//!   shards off the hot path. A worker panic is re-raised on the
+//!   producer from whichever wait it is in, never turned into a hang;
 //! - [`sharded::ShardedEngine`]: the engine's configuration, RSS shard
 //!   selection and shard factory over the [`sketches::MergeSketch`]
 //!   contract (any mergeable sketch ingests sharded;
@@ -51,7 +53,9 @@
 //! `unsafe` block to carry a `// SAFETY:` comment, and with
 //! `--features heavy-tests` the ring compiles against the `loom` model
 //! checker (see `src/sync.rs`) and `tests/model.rs` exhaustively
-//! interleaves its operations under bounded schedules.
+//! interleaves its operations under bounded schedules, the in-band
+//! seal and stop markers included. The session itself has no `unsafe`
+//! and no atomic: sealed shards come back on `std::sync::mpsc`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -64,5 +68,5 @@ pub(crate) mod sync;
 
 pub use affinity::{available_cores, core_for_shard, pin_current_thread, PinError};
 pub use ring::SpscRing;
-pub use session::{Cmd, EngineSession, EpochRun, PendingEpoch, SealSlot};
+pub use session::{Cmd, EngineSession, EpochRun, PendingEpoch};
 pub use sharded::{EngineConfig, EngineRun, ShardedCocoSketch, ShardedEngine};

@@ -12,47 +12,43 @@
 //! [`EngineSession::rotate`] returned, and ingestion never stops for the
 //! boundary.
 //!
-//! **One shard** runs on the caller's thread, with no worker, ring or
-//! seal slot: [`EngineSession::push`] stages packets and flushes them
-//! through the sketch's batched hot path every `batch` packets,
-//! [`EngineSession::push_batch`] hands the caller's slice straight to
-//! it, `rotate` swaps the spare in, and [`EngineSession::collect`]
-//! returns the sealed shard at once. The first push after a rotation
-//! builds the next spare, outside the stretch between a seal and its
-//! epoch becoming visible. A panic in the shard's update path unwinds
-//! out of the push that hit it.
+//! One state machine drives every shard: it stages packets and flushes
+//! them through the sketch's batched hot path every `batch` packets,
+//! seals by swapping the spare in, and builds the next spare on the
+//! first push after a seal, outside the stretch between a seal and its
+//! epoch becoming visible. Where it runs depends on the shard count:
 //!
-//! **More than one shard** runs the producer→ring→shard→merge runtime:
+//! - **One shard** runs on the caller's thread, with no worker or ring:
+//!   [`EngineSession::push`] feeds the state machine,
+//!   [`EngineSession::push_batch`] hands the caller's slice straight to
+//!   the sketch, `rotate` seals, and [`EngineSession::collect`] returns
+//!   the sealed shard at once. A panic in the shard's update path
+//!   unwinds out of the push that hit it.
+//! - **More shards** run producer→ring→shard→merge. The producer
+//!   partitions packets by full-key hash and feeds each shard's worker
+//!   thread through a private [`SpscRing`]. Markers travel the rings
+//!   **in band**, behind the packets already queued, so every boundary
+//!   is exact per shard: `rotate` pushes a [`Cmd::Seal`], on which the
+//!   worker seals and sends the sealed shard back over a one-deep
+//!   channel, and `finish` (or dropping the session) pushes a
+//!   [`Cmd::Stop`], on which the worker returns its active shard.
+//!   `collect` merges the sealed shards on the *caller's* thread — the
+//!   expensive merge never blocks ingestion, which is already filling
+//!   the next epoch.
 //!
-//! - the producer partitions packets by full-key hash and feeds each
-//!   shard's worker thread through a private [`SpscRing`];
-//! - `rotate` pushes a [`Cmd::Seal`] marker through each ring, **in
-//!   band** behind the packets already queued, so the epoch boundary is
-//!   exact per shard;
-//! - on the marker, a worker swaps active↔spare, hands the sealed shard
-//!   through its [`SealSlot`] — a one-deep SPSC hand-off cell built on
-//!   the cfg-switched primitives in `src/sync.rs`, so the loom model
-//!   tests interleave the real implementation — and builds its next
-//!   spare;
-//! - `collect` takes the sealed shards and merges them on the *caller's*
-//!   thread — the expensive merge never blocks ingestion, which is
-//!   already filling the next epoch.
-//!
-//! Backpressure instead of loss, everywhere: a full ring retries, a
-//! still-occupied seal slot makes the worker wait for the collector
-//! (bounded by one epoch — rotation faster than collection is a caller
-//! pacing bug), and both waits yield so oversubscribed hosts progress.
-//! Every producer-side wait also checks that the worker it waits on is
-//! still running: a worker that panicked is joined and its panic
-//! re-raised on the producer, so a shard bug surfaces instead of
-//! hanging ingestion.
+//! Backpressure instead of loss: a full ring retries, yielding so
+//! oversubscribed hosts progress. Workers never wait on the collector:
+//! `rotate` refuses to seal before the previous epoch is collected, so a
+//! worker's channel is empty whenever it sends. Every producer-side wait
+//! checks that the worker it waits on is still running: a worker that
+//! panicked is joined and its panic re-raised on the producer, so a
+//! shard bug surfaces instead of hanging ingestion.
 
 use crate::ring::SpscRing;
 use crate::sharded::{EngineConfig, ShardedEngine};
-use crate::sync;
 use cocosketch::{BasicCocoSketch, Epoch, FlowTable};
 use sketches::MergeSketch;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use traffic::{KeyBytes, KeySpec};
@@ -60,123 +56,21 @@ use traffic::{KeyBytes, KeySpec};
 /// Builds one shard sketch; every call yields a merge-compatible one.
 pub(crate) type Factory<S> = Arc<dyn Fn() -> S + Send + Sync>;
 
-/// One ring item of a session: a packet, or the epoch boundary.
+/// One ring item of a session: a packet, or a boundary marker.
 ///
-/// Seal markers travel the same FIFO as packets, which is what makes
-/// the boundary exact without stopping the producer: everything ahead
-/// of the marker is epoch `N`, everything behind it is `N+1`.
+/// Markers travel the same FIFO as packets, which is what makes each
+/// boundary exact without stopping the producer: everything ahead of a
+/// seal marker is epoch `N`, everything behind it is `N+1`, and nothing
+/// follows the stop marker.
 #[derive(Debug, Clone, Copy)]
 pub enum Cmd {
     /// A pre-projected packet: full key and weight.
     Pkt(KeyBytes, u64),
     /// The epoch boundary marker pushed by [`EngineSession::rotate`].
     Seal,
-}
-
-/// A one-deep hand-off cell for sealed shards (SPSC: the shard worker
-/// puts, the collector takes).
-///
-/// `state` is the slot's ownership token: `EMPTY` means the cell
-/// belongs to the putter, `FULL` means it belongs to the taker. Each
-/// side writes `state` only to hand the cell to the other side, with
-/// release/acquire ordering the cell access before the hand-off —
-/// the same transfer discipline as the ring's head/tail, checked by
-/// the same loom model tests (`tests/model.rs`).
-pub struct SealSlot<T> {
-    state: sync::AtomicUsize,
-    value: sync::UnsafeCell<Option<T>>,
-}
-
-const EMPTY: usize = 0;
-const FULL: usize = 1;
-
-// SAFETY: the cell is accessed only by the side that currently owns it
-// per `state` (EMPTY: putter, FULL: taker), and every ownership
-// transfer is a release-store observed by an acquire-load before the
-// other side touches the cell — so all cell accesses are ordered, and
-// with `T: Send` the value may cross threads. The single-putter/
-// single-taker discipline is the caller's contract (documented on the
-// type); the loom model tests exercise it under bounded schedules.
-unsafe impl<T: Send> Sync for SealSlot<T> {}
-
-impl<T> Default for SealSlot<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> SealSlot<T> {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self {
-            state: sync::AtomicUsize::new(EMPTY),
-            value: sync::UnsafeCell::new(None),
-        }
-    }
-
-    /// Putter side: hand `value` to the taker, or give it back when the
-    /// previous hand-off has not been taken yet.
-    pub fn try_put(&self, value: T) -> Result<(), T> {
-        if self.state.load(sync::Ordering::Acquire) != EMPTY {
-            return Err(value);
-        }
-        self.value.with_mut(|cell| {
-            // SAFETY: the acquire-load above observed EMPTY, so the
-            // cell belongs to the putter (us): the taker only touches
-            // it after the release-store of FULL below, which orders
-            // this write before any taker read.
-            unsafe { *cell = Some(value) };
-        });
-        self.state.store(FULL, sync::Ordering::Release);
-        Ok(())
-    }
-
-    /// Putter side: [`try_put`](Self::try_put) retried (yielding) until
-    /// the taker has drained the previous hand-off.
-    pub fn put(&self, mut value: T) {
-        loop {
-            match self.try_put(value) {
-                Ok(()) => return,
-                Err(back) => {
-                    value = back;
-                    sync::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Taker side: take the handed-off value, or `None` when the putter
-    /// has not sealed one yet.
-    pub fn try_take(&self) -> Option<T> {
-        if self.state.load(sync::Ordering::Acquire) != FULL {
-            return None;
-        }
-        let value = self.value.with_mut(|cell| {
-            // SAFETY: the acquire-load above observed FULL, so the cell
-            // belongs to the taker (us) and the putter's write to it
-            // happened-before (release/acquire on `state`); the putter
-            // touches it again only after the release-store of EMPTY
-            // below.
-            unsafe { (*cell).take() }
-        });
-        self.state.store(EMPTY, sync::Ordering::Release);
-        match value {
-            Some(v) => Some(v),
-            // state == FULL guarantees the putter stored Some.
-            None => hashkit::invariant::violated("a FULL seal slot holds a value"),
-        }
-    }
-
-    /// Taker side: [`try_take`](Self::try_take) retried (yielding)
-    /// until the putter hands a value over.
-    pub fn take(&self) -> T {
-        loop {
-            if let Some(v) = self.try_take() {
-                return v;
-            }
-            sync::yield_now();
-        }
-    }
+    /// The end of the stream, pushed by [`EngineSession::finish`] or by
+    /// dropping the session: the worker returns its active shard.
+    Stop,
 }
 
 /// A shard's sketch with the packet/weight accounting of the window it
@@ -324,8 +218,8 @@ pub struct EngineSession<S: MergeSketch + 'static> {
 
 /// Where a session's shards run.
 enum Runtime<S: MergeSketch + 'static> {
-    /// One shard, updated on the caller's thread.
-    Inline(Inline<S>),
+    /// One shard, driven by the caller's thread.
+    Inline(DoubleBuffer<S>),
     /// One ring-fed worker thread per shard.
     Workers(Workers<S>),
 }
@@ -358,7 +252,7 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
             "ring capacity must be a power of two"
         );
         let runtime = if config.threads == 1 {
-            Runtime::Inline(Inline::start(&config, factory))
+            Runtime::Inline(DoubleBuffer::start(&config, factory, 0))
         } else {
             Runtime::Workers(Workers::start(&config, &factory))
         };
@@ -399,15 +293,15 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
 
     /// Seal the current epoch *without stopping ingestion*: packets
     /// pushed after this call land in the next epoch. One shard swaps
-    /// its active sketch for the spare; more flush their stages and
-    /// push an in-band [`Cmd::Seal`] marker down every ring, and the
-    /// workers hand their sealed shards off asynchronously. Take the
-    /// epoch (merged off the hot path) with [`collect`](Self::collect).
+    /// its active sketch for the spare; more flush their stages behind
+    /// an in-band [`Cmd::Seal`] marker down every ring, and the workers
+    /// send their sealed shards back asynchronously. Take the epoch
+    /// (merged off the hot path) with [`collect`](Self::collect).
     ///
     /// # Panics
-    /// Panics when the previous epoch has not been collected yet: the
-    /// seal slots are one deep, so rotation outrunning collection would
-    /// stall the workers.
+    /// Panics when the previous epoch has not been collected yet: each
+    /// worker's channel holds one sealed shard, so rotation outrunning
+    /// collection would stall the workers.
     pub fn rotate(&mut self) -> PendingEpoch {
         assert!(
             self.pending.is_none(),
@@ -415,7 +309,7 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
         );
         match &mut self.runtime {
             Runtime::Inline(shard) => shard.seal(),
-            Runtime::Workers(workers) => workers.seal(),
+            Runtime::Workers(workers) => workers.mark(Cmd::Seal),
         }
         let id = self.next_epoch;
         self.next_epoch += 1;
@@ -444,8 +338,8 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
     }
 
     /// End the session: seal whatever has been ingested since the last
-    /// rotation as the final epoch, join the workers (if any), and
-    /// merge.
+    /// rotation as the final epoch, stop the workers (if any) with an
+    /// in-band [`Cmd::Stop`] marker, join them, and merge.
     ///
     /// # Panics
     /// Panics when a rotated epoch has not been collected, or when a
@@ -463,8 +357,10 @@ impl<S: MergeSketch + 'static> EngineSession<S> {
     }
 }
 
-/// The one-shard runtime: the caller's thread updates the shard.
-struct Inline<S> {
+/// A shard's state machine — the stage, the double-buffered sketch and
+/// the sealed shard — driven by the caller's thread for one shard and
+/// by the shard's worker from its ring for more.
+struct DoubleBuffer<S> {
     factory: Factory<S>,
     batch: usize,
     /// Packets `push` staged for the next batch.
@@ -473,17 +369,18 @@ struct Inline<S> {
     /// The pre-built sketch `seal` swaps in; `None` from a rotation
     /// until the next push builds its replacement.
     spare: Option<S>,
-    /// The shard `seal` set aside, until `collect` takes it.
+    /// The shard `seal` set aside, until `take_sealed` takes it.
     sealed: Option<Shard<S>>,
 }
 
-impl<S: MergeSketch> Inline<S> {
-    fn start(config: &EngineConfig, factory: Factory<S>) -> Self {
+impl<S: MergeSketch> DoubleBuffer<S> {
+    /// Build shard `idx`'s state machine on the calling thread.
+    fn start(config: &EngineConfig, factory: Factory<S>, idx: usize) -> Self {
         // Pin before building the shard and its spare, so their
         // first-touch pages land NUMA-local to the core that ingests.
-        // Best-effort, like the workers' pinning.
+        // Best-effort: a failed pin degrades to unpinned ingestion.
         if config.pin {
-            let _ = crate::affinity::pin_current_thread(crate::affinity::core_for_shard(0));
+            let _ = crate::affinity::pin_current_thread(crate::affinity::core_for_shard(idx));
         }
         let active = Shard::new(factory());
         let spare = Some(factory());
@@ -553,55 +450,41 @@ impl<S: MergeSketch> Inline<S> {
     }
 }
 
-/// The ring runtime: one worker thread, ring and seal slot per shard.
+/// The ring runtime: per shard, a worker thread that drives the
+/// shard's [`DoubleBuffer`] from its ring and sends sealed shards back
+/// on a one-deep channel.
 struct Workers<S: MergeSketch + 'static> {
     batch: usize,
     rings: Vec<Arc<SpscRing<Cmd>>>,
-    slots: Vec<Arc<SealSlot<Shard<S>>>>,
-    done: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<Shard<S>>>,
+    sealed: Vec<Receiver<Shard<S>>>,
+    /// A worker's handle until it is joined: by `finish`, by the wait
+    /// that found it dead, or by `Drop`.
+    workers: Vec<Option<JoinHandle<Shard<S>>>>,
     stages: Vec<Vec<Cmd>>,
 }
 
 impl<S: MergeSketch + 'static> Workers<S> {
     fn start(config: &EngineConfig, factory: &Factory<S>) -> Self {
-        let rings: Vec<Arc<SpscRing<Cmd>>> = (0..config.threads)
-            .map(|_| Arc::new(SpscRing::new(config.ring_capacity)))
-            .collect();
-        let slots: Vec<Arc<SealSlot<Shard<S>>>> = (0..config.threads)
-            .map(|_| Arc::new(SealSlot::new()))
-            .collect();
-        let done = Arc::new(AtomicBool::new(false));
-        let workers = rings
-            .iter()
-            .zip(&slots)
-            .enumerate()
-            .map(|(idx, (ring, slot))| {
-                let ring = Arc::clone(ring);
-                let slot = Arc::clone(slot);
-                let done = Arc::clone(&done);
-                let factory = Arc::clone(factory);
-                let batch = config.batch;
-                let pin = config.pin;
-                std::thread::spawn(move || {
-                    // Pin before worker_loop builds its shards: the
-                    // first-touch allocations inside (active + spare
-                    // sketches) then land NUMA-local to the pinned
-                    // core. Best-effort, like the one-shard session.
-                    if pin {
-                        let _ = crate::affinity::pin_current_thread(
-                            crate::affinity::core_for_shard(idx),
-                        );
-                    }
-                    worker_loop(&ring, &slot, &done, &*factory, batch)
-                })
-            })
-            .collect();
+        let mut rings = Vec::with_capacity(config.threads);
+        let mut sealed = Vec::with_capacity(config.threads);
+        let mut workers = Vec::with_capacity(config.threads);
+        for idx in 0..config.threads {
+            let ring = Arc::new(SpscRing::new(config.ring_capacity));
+            let (send, recv) = mpsc::sync_channel(1);
+            let worker_ring = Arc::clone(&ring);
+            let factory = Arc::clone(factory);
+            let config = *config;
+            workers.push(Some(std::thread::spawn(move || {
+                let shard = DoubleBuffer::start(&config, factory, idx);
+                worker_loop(&worker_ring, &send, shard)
+            })));
+            rings.push(ring);
+            sealed.push(recv);
+        }
         Self {
             batch: config.batch,
             rings,
-            slots,
-            done,
+            sealed,
             workers,
             stages: (0..config.threads)
                 .map(|_| Vec::with_capacity(config.batch))
@@ -634,60 +517,59 @@ impl<S: MergeSketch + 'static> Workers<S> {
 
     /// One round of waiting on worker `shard` — its ring is full, or its
     /// sealed shard has not arrived: yield, unless the worker has
-    /// already exited. Workers return only after `finish` sets `done`,
-    /// so an early exit is a panic; re-raise its payload, as `finish`
-    /// does, instead of waiting forever on a consumer that is gone.
+    /// already exited. Workers return only on the `Stop` marker, so an
+    /// early exit is a panic; re-raise its payload, as `finish` does,
+    /// instead of waiting forever on a consumer that is gone.
     fn wait_on(&mut self, shard: usize) {
-        // LINT: bounded(callers pass shard < threads = workers.len(); finish/Drop are the only drains)
-        if self.workers[shard].is_finished() {
-            if let Err(payload) = self.workers.swap_remove(shard).join() {
+        // LINT: bounded(callers pass shard < threads = workers.len())
+        let worker = &mut self.workers[shard];
+        let running = worker.as_ref().is_some_and(|w| !w.is_finished());
+        if !running {
+            if let Some(Err(payload)) = worker.take().map(JoinHandle::join) {
                 std::panic::resume_unwind(payload);
             }
-            hashkit::invariant::violated("shard workers run until the session finishes");
+            hashkit::invariant::violated("shard workers run until the session stops them");
         }
         std::thread::yield_now();
     }
 
-    /// Flush every stage, then push one seal marker down every ring.
-    fn seal(&mut self) {
-        for shard in 0..self.rings.len() {
+    /// Flush every stage with `marker` queued behind its packets.
+    fn mark(&mut self, marker: Cmd) {
+        for shard in 0..self.stages.len() {
+            self.stages[shard].push(marker); // LINT: bounded(shard < stages.len())
             self.flush(shard);
-        }
-        for shard in 0..self.rings.len() {
-            // LINT: bounded(shard < threads = rings.len())
-            while self.rings[shard].push(Cmd::Seal).is_err() {
-                self.wait_on(shard);
-            }
         }
     }
 
     /// Wait for every worker's sealed shard.
     fn take_sealed(&mut self) -> Vec<Shard<S>> {
-        (0..self.slots.len())
+        (0..self.sealed.len())
             .map(|shard| loop {
-                // LINT: bounded(shard < threads = slots.len())
-                match self.slots[shard].try_take() {
-                    Some(sealed) => break sealed,
-                    None => self.wait_on(shard),
+                // LINT: bounded(shard < threads = sealed.len())
+                match self.sealed[shard].try_recv() {
+                    Ok(sealed) => break sealed,
+                    // Not sent yet, or never: `wait_on` re-raises the
+                    // panic of a worker that dropped its sender.
+                    Err(_) => self.wait_on(shard),
                 }
             })
             .collect()
     }
 
-    /// Flush the stages, release the workers and join them: each
-    /// returns its active shard.
+    /// Flush the stages behind a `Stop` marker and join the workers:
+    /// each returns its active shard.
     fn finish(mut self) -> Vec<Shard<S>> {
-        for shard in 0..self.rings.len() {
-            self.flush(shard);
-        }
-        self.done.store(true, Ordering::Release);
+        self.mark(Cmd::Stop);
         self.workers
-            .drain(..)
-            .map(|worker| match worker.join() {
-                Ok(shard) => shard,
+            .iter_mut()
+            .map(|worker| match worker.take().map(JoinHandle::join) {
+                Some(Ok(shard)) => shard,
                 // A worker panic is a bug in the shard update path
                 // itself; re-raise it with its original payload.
-                Err(payload) => std::panic::resume_unwind(payload),
+                Some(Err(payload)) => std::panic::resume_unwind(payload),
+                None => {
+                    hashkit::invariant::violated("shard workers run until the session stops them")
+                }
             })
             .collect()
     }
@@ -695,88 +577,62 @@ impl<S: MergeSketch + 'static> Workers<S> {
 
 impl<S: MergeSketch + 'static> Drop for Workers<S> {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return; // finished normally
-        }
-        // Abandoned session: release the workers. They bail out of a
-        // blocked seal hand-off once `done` is set (dropping that
-        // epoch's data — acceptable only on this teardown path), so
-        // joining cannot deadlock even with an uncollected rotation in
-        // flight.
-        self.done.store(true, Ordering::Release);
-        for worker in self.workers.drain(..) {
+        // An abandoned session (`finish` leaves no worker to join):
+        // stop each worker in band, behind the packets its ring still
+        // holds, and join it. Staged packets and an uncollected epoch
+        // are dropped, which is acceptable only on this teardown path.
+        // A dead worker drains nothing, so its full ring is given up on.
+        for (ring, worker) in self.rings.iter().zip(&mut self.workers) {
+            let Some(worker) = worker.take() else {
+                continue;
+            };
+            while ring.push(Cmd::Stop).is_err() && !worker.is_finished() {
+                std::thread::yield_now();
+            }
             let _ = worker.join();
         }
     }
 }
 
-/// The shard worker: drain the ring in chunks, batch contiguous
-/// packets through the sketch's batched hot path, and on a seal marker
-/// swap the double buffer and hand the sealed shard off.
+/// The shard worker: drain the ring in chunks into the shard's
+/// [`DoubleBuffer`]. A packet is pushed, a `Seal` marker seals and
+/// sends the sealed shard back, and the `Stop` marker returns the
+/// active shard.
 fn worker_loop<S: MergeSketch>(
     ring: &SpscRing<Cmd>,
-    slot: &SealSlot<Shard<S>>,
-    done: &AtomicBool,
-    factory: &(dyn Fn() -> S + Send + Sync),
-    batch: usize,
+    sealed: &SyncSender<Shard<S>>,
+    mut shard: DoubleBuffer<S>,
 ) -> Shard<S> {
-    let mut active = Shard::new(factory());
-    // The double buffer: a pre-built spare makes the seal-path swap
-    // O(1) — the replacement construction happens after the hand-off.
-    let mut spare = Some(factory());
-    let mut chunk: Vec<Cmd> = Vec::with_capacity(batch);
-    let mut pkts: Vec<(KeyBytes, u64)> = Vec::with_capacity(batch);
+    let mut chunk: Vec<Cmd> = Vec::with_capacity(shard.batch);
     loop {
         chunk.clear();
-        if ring.pop_chunk(&mut chunk, batch) > 0 {
-            for &cmd in &chunk {
-                match cmd {
-                    Cmd::Pkt(key, w) => pkts.push((key, w)),
-                    Cmd::Seal => {
-                        active.ingest(&pkts);
-                        pkts.clear();
-                        let next = match spare.take() {
-                            Some(next) => next,
-                            // Unreachable: the spare is rebuilt right
-                            // after every hand-off below.
-                            None => factory(),
-                        };
-                        let mut payload = active.seal(next);
-                        loop {
-                            match slot.try_put(payload) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    if done.load(Ordering::Acquire) {
-                                        // Teardown with an uncollected
-                                        // epoch: drop it (Drop path).
-                                        break;
-                                    }
-                                    payload = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        spare = Some(factory());
-                    }
-                }
-            }
-            active.ingest(&pkts);
-            pkts.clear();
-        } else if done.load(Ordering::Acquire) && ring.is_empty() {
-            break;
-        } else {
+        if ring.pop_chunk(&mut chunk, shard.batch) == 0 {
             // PMD discipline is busy-polling; yield so oversubscribed
             // hosts still make progress.
             std::thread::yield_now();
+            continue;
+        }
+        for &cmd in &chunk {
+            match cmd {
+                Cmd::Pkt(key, w) => shard.push(key, w),
+                Cmd::Seal => {
+                    shard.seal();
+                    // Never blocks: the previous epoch was collected
+                    // before this one was sealed. It fails only once
+                    // the session is gone, and the epoch goes with it.
+                    let _ = sealed.send(shard.take_sealed());
+                }
+                Cmd::Stop => return shard.finish(),
+            }
         }
     }
-    active
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sketches::{CmHeap, ElasticSketch, Sketch};
+    use std::sync::{mpsc, OnceLock};
     use traffic::gen::{generate, TraceConfig};
 
     fn packets(n: usize, seed_salt: u64) -> Vec<(KeyBytes, u64)> {
@@ -794,18 +650,6 @@ mod tests {
 
     fn weight_of(pkts: &[(KeyBytes, u64)]) -> u64 {
         pkts.iter().map(|&(_, w)| w).sum()
-    }
-
-    #[test]
-    fn seal_slot_hands_off_in_order() {
-        let slot: SealSlot<u32> = SealSlot::new();
-        assert!(slot.try_take().is_none());
-        slot.put(1);
-        assert_eq!(slot.try_put(2), Err(2), "one-deep: full slot rejects");
-        assert_eq!(slot.take(), 1);
-        slot.put(2);
-        assert_eq!(slot.take(), 2);
-        assert!(slot.try_take().is_none());
     }
 
     #[test]
@@ -969,114 +813,129 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_epochs_match_one_update_batch_per_window() {
-        // At one thread the caller's thread updates the shard. However
-        // pushes split a window — single packets or slices just under,
-        // at and over the batch size, or a 4096-packet slice — and
-        // wherever rotations fall (one seals an empty window, one is
+    fn epochs_match_one_update_batch_per_shard_and_window() {
+        // However pushes split a window — single packets or slices just
+        // under, at and over the batch size, or a 4096-packet slice —
+        // and wherever rotations fall (one seals an empty window, one is
         // collected after the next window's first pushes), each epoch
-        // must equal one `update_batch` over exactly its window on a
-        // fresh factory sketch. The sketch is small, so replacements
-        // make its records depend on the order packets arrive in.
-        let cfg = EngineConfig {
-            buckets: 64,
-            ..EngineConfig::default()
-        };
-        assert_eq!(cfg.threads, 1);
-        let b = cfg.batch;
-        let stream = packets(30_000, 12);
-        // Per window, its pushes: (one packet per `push`, packets).
-        let windows: Vec<Vec<(bool, usize)>> = vec![
-            vec![(true, 1), (false, b - 1), (true, b), (false, b + 1)],
-            vec![],
-            vec![(false, 4096), (true, b + 1), (false, 1), (true, b - 1)],
-            vec![(true, 4096), (false, b)],
-            vec![(false, b - 1), (true, 1)],
-        ];
-        let fresh = || BasicCocoSketch::new(cfg.d, cfg.buckets, cfg.key_bytes, cfg.seed);
-        let mut session = EngineSession::coco(cfg);
-        let mut rest = &stream[..];
-        let mut epochs = Vec::new();
-        let mut spans = Vec::new();
-        let mut pending: Option<PendingEpoch> = None;
-        for (w, pushes) in windows.iter().enumerate() {
-            let span = pushes.iter().map(|&(_, n)| n).sum::<usize>();
-            let (window, tail) = rest.split_at(span);
-            rest = tail;
-            let mut at = 0;
-            for &(one_by_one, n) in pushes {
-                let part = &window[at..at + n];
-                at += n;
-                if one_by_one {
-                    for &(key, weight) in part {
-                        session.push(key, weight);
-                    }
-                } else {
-                    session.push_batch(part);
-                }
-                // Window 3's first push lands while window 2 is still
-                // sealed and uncollected.
-                if let Some(p) = pending.take() {
-                    epochs.push(session.collect(p));
-                }
-            }
-            spans.push(window);
-            if w == 2 {
-                pending = Some(session.rotate());
-            } else if w + 1 < windows.len() {
-                epochs.push(session.rotate_collect());
-            }
-        }
-        epochs.push(session.finish());
-        assert_eq!(epochs.len(), windows.len());
-        for (id, (epoch, window)) in epochs.iter().zip(&spans).enumerate() {
-            let mut single = fresh();
-            single.update_batch(window);
-            let mut want = single.records();
-            let mut got = epoch.sketch.records();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(epoch.id, id as u64);
-            assert_eq!(got, want, "epoch {id} records");
-            assert_eq!(epoch.packets, window.len() as u64, "epoch {id} packets");
-            assert_eq!(epoch.weight, weight_of(window), "epoch {id} weight");
-            assert_eq!(epoch.per_shard, vec![window.len() as u64], "epoch {id}");
-        }
-    }
-
-    #[test]
-    fn abandoned_session_does_not_hang() {
-        for threads in [1, 2] {
-            let mut session = EngineSession::coco(EngineConfig {
+        // must equal an independent reference over exactly its window:
+        // the window split by `shard_of`, one `update_batch` per shard
+        // on a fresh factory sketch, and the shards folded with
+        // `merge_shard` in shard order. At one thread that is a single
+        // `update_batch` over the window. The sketch is small, so
+        // replacements make its records depend on the order packets
+        // arrive in.
+        for threads in [1, 2, 3] {
+            let cfg = EngineConfig {
                 threads,
+                buckets: 64,
                 ..EngineConfig::default()
-            });
-            session.push_batch(&packets(1_000, 8));
-            let _pending = session.rotate();
-            drop(session); // uncollected epoch: Drop must still join
+            };
+            let b = cfg.batch;
+            let stream = packets(30_000, 12);
+            // Per window, its pushes: (one packet per `push`, packets).
+            let windows: Vec<Vec<(bool, usize)>> = vec![
+                vec![(true, 1), (false, b - 1), (true, b), (false, b + 1)],
+                vec![],
+                vec![(false, 4096), (true, b + 1), (false, 1), (true, b - 1)],
+                vec![(true, 4096), (false, b)],
+                vec![(false, b - 1), (true, 1)],
+            ];
+            let fresh = || BasicCocoSketch::new(cfg.d, cfg.buckets, cfg.key_bytes, cfg.seed);
+            let mut session = EngineSession::coco(cfg);
+            let mut rest = &stream[..];
+            let mut epochs = Vec::new();
+            let mut spans = Vec::new();
+            let mut pending: Option<PendingEpoch> = None;
+            for (w, pushes) in windows.iter().enumerate() {
+                let span = pushes.iter().map(|&(_, n)| n).sum::<usize>();
+                let (window, tail) = rest.split_at(span);
+                rest = tail;
+                let mut at = 0;
+                for &(one_by_one, n) in pushes {
+                    let part = &window[at..at + n];
+                    at += n;
+                    if one_by_one {
+                        for &(key, weight) in part {
+                            session.push(key, weight);
+                        }
+                    } else {
+                        session.push_batch(part);
+                    }
+                    // Window 3's first push lands while window 2 is still
+                    // sealed and uncollected.
+                    if let Some(p) = pending.take() {
+                        epochs.push(session.collect(p));
+                    }
+                }
+                spans.push(window);
+                if w == 2 {
+                    pending = Some(session.rotate());
+                } else if w + 1 < windows.len() {
+                    epochs.push(session.rotate_collect());
+                }
+            }
+            epochs.push(session.finish());
+            assert_eq!(epochs.len(), windows.len());
+            for (id, (epoch, window)) in epochs.iter().zip(&spans).enumerate() {
+                let mut parts = vec![Vec::new(); threads];
+                for &(key, w) in window.iter() {
+                    parts[ShardedEngine::<BasicCocoSketch>::shard_of(&key, threads)].push((key, w));
+                }
+                let mut reference = fresh();
+                reference.update_batch(&parts[0]);
+                for part in &parts[1..] {
+                    let mut shard = fresh();
+                    shard.update_batch(part);
+                    reference
+                        .merge_shard(shard)
+                        .expect("shards from one factory merge");
+                }
+                let mut want = reference.records();
+                let mut got = epoch.sketch.records();
+                want.sort_unstable();
+                got.sort_unstable();
+                let per_shard: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
+                assert_eq!(epoch.id, id as u64);
+                assert_eq!(got, want, "epoch {id} records at {threads} threads");
+                assert_eq!(epoch.packets, window.len() as u64, "epoch {id} packets");
+                assert_eq!(epoch.weight, weight_of(window), "epoch {id} weight");
+                assert_eq!(
+                    epoch.per_shard, per_shard,
+                    "epoch {id} at {threads} threads"
+                );
+            }
         }
     }
 
-    /// A shard that panics once it has seen `k` packets: a stand-in for
-    /// a bug in a shard's update path.
-    struct PanicAt {
-        k: u64,
+    /// A CM-Heap shard with test hooks, a stand-in for a shard's update
+    /// path: it panics once it has seen `panic_at` packets, its batches
+    /// wait until the `open` gate every shard of its factory shares is
+    /// set, and it reports each batch's size on `ingested`.
+    struct Probe {
+        panic_at: u64,
         seen: u64,
+        open: Arc<OnceLock<()>>,
+        ingested: mpsc::Sender<u64>,
         inner: CmHeap,
     }
 
-    impl Sketch for PanicAt {
+    impl Sketch for Probe {
         fn update(&mut self, key: &KeyBytes, w: u64) {
             self.update_batch(&[(*key, w)]);
         }
         fn update_batch(&mut self, batch: &[(KeyBytes, u64)]) {
             self.seen += batch.len() as u64;
             assert!(
-                self.seen < self.k,
+                self.seen < self.panic_at,
                 "injected shard fault at packet {}",
-                self.k
+                self.panic_at
             );
+            while self.open.get().is_none() {
+                std::thread::yield_now();
+            }
             self.inner.update_batch(batch);
+            let _ = self.ingested.send(batch.len() as u64);
         }
         fn query(&self, key: &KeyBytes) -> u64 {
             self.inner.query(key)
@@ -1088,13 +947,106 @@ mod tests {
             self.inner.memory_bytes()
         }
         fn name(&self) -> &'static str {
-            "panic-at"
+            "probe"
         }
     }
 
-    impl MergeSketch for PanicAt {
+    impl MergeSketch for Probe {
         fn merge_shard(&mut self, other: Self) -> Result<(), sketches::MergeIncompat> {
             self.inner.merge_shard(other.inner)
+        }
+    }
+
+    /// An engine over [`Probe`] shards, the gate they share (set
+    /// already when `open`), and the receiver of their batch sizes.
+    fn probe_engine(
+        cfg: EngineConfig,
+        panic_at: u64,
+        open: bool,
+    ) -> (ShardedEngine<Probe>, Arc<OnceLock<()>>, mpsc::Receiver<u64>) {
+        let key_bytes = KeySpec::FIVE_TUPLE.key_bytes();
+        let gate = Arc::new(OnceLock::new());
+        if open {
+            let _ = gate.set(());
+        }
+        let (ingested, batches) = mpsc::channel();
+        let shared = Arc::clone(&gate);
+        let eng = ShardedEngine::with_factory(cfg, move || Probe {
+            panic_at,
+            seen: 0,
+            open: Arc::clone(&shared),
+            ingested: ingested.clone(),
+            inner: CmHeap::with_memory(16 * 1024, key_bytes, 0xC0C0),
+        });
+        (eng, gate, batches)
+    }
+
+    /// Run `f` on a helper thread and return its result, failing the
+    /// test instead of hanging when that takes over 30 s.
+    fn watchdog<T: Send + 'static>(what: String, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let Ok(out) = rx.recv_timeout(std::time::Duration::from_secs(30)) else {
+            panic!("{what} hung or panicked");
+        };
+        helper.join().expect("the helper exits after reporting");
+        out
+    }
+
+    #[test]
+    fn abandoned_session_does_not_hang() {
+        // Dropping a session with an uncollected epoch must still join
+        // every worker. The rotation flushed every packet ahead of the
+        // seal markers, so the workers ingest all of them before the
+        // in-band `Stop` that `Drop` queues behind. In the gated case
+        // each of two workers takes one packet (batch 1) and waits on
+        // the closed gate, so its 16-slot ring ends up holding the
+        // shard's other 15 packets and the seal marker: full when the
+        // session drops. The gate opens only once the drop is under
+        // way, so the first worker's `Stop` waits for room behind its
+        // queued packets.
+        for (threads, ring_capacity, batch, gated) in
+            [(1, 4096, 4, false), (2, 4096, 4, false), (2, 16, 1, true)]
+        {
+            let what = format!("dropping a session ({threads} threads, ring {ring_capacity})");
+            let (ingested, pushed) = watchdog(what, move || {
+                let cfg = EngineConfig {
+                    threads,
+                    ring_capacity,
+                    batch,
+                    ..EngineConfig::default()
+                };
+                let (eng, gate, batches) = probe_engine(cfg, u64::MAX, !gated);
+                let mut pkts = packets(1_000, 8);
+                if gated {
+                    // The first 16 packets of each shard, in stream order.
+                    let mut taken = vec![0; threads];
+                    pkts.retain(|(key, _)| {
+                        let shard = ShardedEngine::<Probe>::shard_of(key, threads);
+                        taken[shard] += 1;
+                        taken[shard] <= ring_capacity
+                    });
+                    assert_eq!(pkts.len(), threads * ring_capacity);
+                }
+                let mut session = eng.session();
+                session.push_batch(&pkts);
+                let _pending = session.rotate();
+                let (dropping, dropped) = mpsc::channel();
+                let opener = {
+                    let gate = Arc::clone(&gate);
+                    std::thread::spawn(move || {
+                        let _ = dropped.recv();
+                        let _ = gate.set(());
+                    })
+                };
+                dropping.send(()).expect("the opener waits for the drop");
+                drop(session);
+                opener.join().expect("the opener exits");
+                (batches.try_iter().sum::<u64>(), pkts.len() as u64)
+            });
+            assert_eq!(ingested, pushed, "{threads} threads, ring {ring_capacity}");
         }
     }
 
@@ -1104,38 +1056,39 @@ mod tests {
         // re-raise the worker's panic from whichever wait it is in —
         // ring full (flush, rotate) or sealed shard missing (collect) —
         // instead of yielding forever. A single shard has no worker:
-        // its panic unwinds on the caller, inside `push_batch`. The
-        // session runs on a helper thread behind a watchdog so a hang
-        // fails the test.
-        use std::sync::mpsc;
-        use std::time::Duration;
-        let key_bytes = KeySpec::FIVE_TUPLE.key_bytes();
-        // (threads, packets, rotate before finish): at two threads the
-        // long push blocks in flush on the dead worker's full ring; at
-        // one, the shard panics inside the push itself.
-        for (threads, n, rotate) in [(2, 50_000, false), (1, 120, true)] {
-            let (tx, rx) = mpsc::channel();
-            let helper = std::thread::spawn(move || {
+        // its panic unwinds on the caller, inside `push_batch`.
+        //
+        // (threads, packets, ring capacity, the call the panic surfaces
+        // in): at two threads, a push longer than the dead worker's
+        // 64-slot ring blocks in flush, and one that fits in a
+        // 4096-slot ring completes, as does the rotation, so the panic
+        // surfaces in collect; at one thread the shard panics inside the
+        // push itself.
+        for (threads, n, ring_capacity, surfaces_in) in [
+            (2, 50_000, 64, "push_batch"),
+            (2, 1_000, 4096, "collect"),
+            (1, 120, 64, "push_batch"),
+        ] {
+            let what = format!("a session with a panicked worker ({threads} threads, {n} packets)");
+            let (message, at) = watchdog(what, move || {
                 let cfg = EngineConfig {
                     threads,
-                    ring_capacity: 64,
+                    ring_capacity,
                     batch: 16,
                     ..EngineConfig::default()
                 };
-                let eng = ShardedEngine::with_factory(cfg, move || PanicAt {
-                    k: 100,
-                    seen: 0,
-                    inner: CmHeap::with_memory(16 * 1024, key_bytes, 0xC0C0),
-                });
+                let (eng, _, _) = probe_engine(cfg, 100, true);
                 let pkts = packets(n, 9);
-                let mut pushed = false;
+                let mut at = "session";
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut session = eng.session();
+                    at = "push_batch";
                     session.push_batch(&pkts);
-                    pushed = true;
-                    if rotate {
-                        session.rotate_collect();
-                    }
+                    at = "rotate";
+                    let pending = session.rotate();
+                    at = "collect";
+                    session.collect(pending);
+                    at = "finish";
                     session.finish();
                 }));
                 let message = match outcome {
@@ -1145,21 +1098,13 @@ mod tests {
                         .cloned()
                         .unwrap_or_else(|| String::from("non-string panic")),
                 };
-                let _ = tx.send((message, pushed));
+                (message, at)
             });
-            let (message, pushed) = rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap_or_else(|_| {
-                    panic!("session hung on a panicked worker ({threads} threads, {n} packets)")
-                });
-            helper.join().expect("the helper exits after reporting");
             assert!(
                 message.contains("injected shard fault at packet 100"),
                 "worker panic not re-raised ({threads} threads, {n} packets): {message}"
             );
-            if threads == 1 {
-                assert!(!pushed, "a single shard panics inside push_batch");
-            }
+            assert_eq!(at, surfaces_in, "{threads} threads, {n} packets");
         }
     }
 }

@@ -18,13 +18,9 @@
 pub(crate) use loom::cell::UnsafeCell;
 #[cfg(feature = "loom")]
 pub(crate) use loom::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(feature = "loom")]
-pub(crate) use loom::thread::yield_now;
 
 #[cfg(not(feature = "loom"))]
 pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(not(feature = "loom"))]
-pub(crate) use std::thread::yield_now;
 
 /// The std stand-in for `loom::cell::UnsafeCell`: a plain
 /// [`std::cell::UnsafeCell`] behind the same `with`/`with_mut` API.
