@@ -6,12 +6,15 @@
 //!
 //! 1. **seal** — append `--epochs` sealed epochs of `--rows` flows to a
 //!    fresh [`cocosketch::segment::EpochDir`]; each append is the full
-//!    durability protocol (encode, tmp write, fsync, rename, manifest
-//!    replace), timed per epoch;
-//! 2. **reopen** — close and reopen the populated directory (manifest
-//!    decode + prefix validation + tail checksum), then **scan** every
-//!    segment back through the total decoder, reporting epochs/s and
-//!    MB/s.
+//!    durability protocol (encode, tmp write, fsync, rename, directory
+//!    fsync, plus the manifest listing every
+//!    [`MANIFEST_LAG`](cocosketch::segment::MANIFEST_LAG)-th append),
+//!    timed per epoch;
+//! 2. **reopen** — close the populated directory cleanly (the
+//!    checkpoint that lists the unlisted tail, untimed) and reopen it
+//!    (manifest decode + prefix validation + tail checksum), then
+//!    **scan** every segment back through the total decoder, reporting
+//!    epochs/s and MB/s.
 //!
 //! The run repeats `--reps` times in fresh directories; per-epoch seal
 //! latencies merge across reps, and rates take the best rep (the usual
@@ -136,6 +139,7 @@ fn main() {
             seal_us.push(t.elapsed().as_nanos() as f64 / 1e3);
         }
         stored_bytes = dir.segments().iter().map(|m| m.bytes).sum();
+        dir.checkpoint().expect("clean close");
         drop(dir);
 
         // Section 2: reopen (recovery-path validation) + full scan.
@@ -184,10 +188,14 @@ fn main() {
          \"scan_epochs_per_s\": {best_scan_eps:.1},\n  \
          \"scan_mb_per_s\": {best_scan_mbps:.1},\n  \
          \"note\": \"seal = full durability protocol (encode, tmp write, fsync, rename, \
-         manifest replace) per appended epoch, latencies merged across reps; reopen = manifest \
-         decode + prefix validation + tail checksum on a clean directory, best rep; scan = every \
-         segment back through the total decoder, best rep\"\n}}\n",
-        args.epochs, args.rows, args.reps,
+         directory fsync; every {}th append also replaces the manifest) per appended epoch, \
+         latencies merged across reps; reopen = manifest decode + prefix validation + tail \
+         checksum on a cleanly closed directory, best rep; scan = every segment back through \
+         the total decoder, best rep\"\n}}\n",
+        args.epochs,
+        args.rows,
+        args.reps,
+        cocosketch::segment::MANIFEST_LAG,
     );
     print!("{json}");
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");

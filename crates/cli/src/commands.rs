@@ -26,10 +26,12 @@ keys: 5tuple, srcip, dstip, srcip/NN, dstip/NN, src-dst,
       srcip-srcport, dstip-dstport, empty
 
 --spill DIR streams every sealed epoch into a durable epoch directory
-(manifest + immutable CEP1 segments) as it seals, so --keep-epochs N
-bounds memory without losing history; query/stats/info reopen the
-directory with --dir, and --compact-bucket B merges runs of B old
-epochs into coarser buckets in the background.
+(immutable CEP1 segments, each committed by its own rename, plus a
+MANIFEST checkpoint) as it seals, so --keep-epochs N bounds memory
+without losing history; query/stats/info read the directory with
+--dir, and --compact-bucket B merges runs of B old epochs into coarser
+buckets in the background. The MANIFEST lists every epoch once the run
+ends; while it runs, --dir readers may lag it by up to 64 epochs.
 
 --serve ADDR (unix:PATH or HOST:PORT) keeps the process resident after
 measuring, answering partial-key queries from the sealed epochs over
@@ -71,7 +73,8 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// epochs; epoch files (and the `--spill` directory, when given) still
 /// receive every epoch, so eviction bounds RSS without losing history.
 /// `--spill DIR` additionally streams each sealed epoch into a durable
-/// [`cocosketch::segment::EpochDir`] (manifest-backed, crash-safe) and
+/// [`cocosketch::segment::EpochDir`] (one renamed segment per epoch,
+/// crash-safe; the manifest is checkpointed when sealing ends) and
 /// `--compact-bucket B` runs a background compactor that merges runs
 /// of B old epochs into coarser buckets.
 ///
@@ -416,6 +419,11 @@ fn measure_windowed(
         }
     }
     if let Some(shared) = &spill {
+        // Sealing has ended: list every segment, so the directory
+        // reopens with nothing to adopt and `--dir` readers see it all.
+        shared
+            .checkpoint()
+            .map_err(|e| format!("closing --spill directory: {e}"))?;
         let (first, last) = shared.ids().unwrap_or((0, 0));
         println!(
             "  spill: {} segment{} covering epochs {first}..={last}",

@@ -290,7 +290,12 @@ fn spill_dir_round_trips_every_epoch_bit_identically() {
         text.contains("spill: 3 segments covering epochs 0..=2"),
         "{text}"
     );
-    assert!(spill.join("MANIFEST").exists());
+    // The end of sealing is a clean close: MANIFEST lists every epoch.
+    let listed =
+        cocosketch::segment::decode_manifest(&std::fs::read(spill.join("MANIFEST")).unwrap())
+            .unwrap();
+    let ranges: Vec<(u64, u64)> = listed.iter().map(|m| (m.first, m.last)).collect();
+    assert_eq!(ranges, [(0, 0), (1, 1), (2, 2)]);
 
     // Every sealed epoch — including the mid-run-evicted ones — answers
     // from the directory bit-identically to its streamed epoch file.
@@ -867,6 +872,7 @@ fn tables_whose_sizes_overflow_are_refused_not_wrapped() {
     let spill = dir.join("epochs");
     let (shared, _) = SharedEpochDir::open(&spill).unwrap();
     shared.append(&sealed).unwrap();
+    shared.checkpoint().unwrap();
     drop(shared);
 
     let (cft, cep, spill) = (
@@ -944,5 +950,9 @@ fn rejects_missing_file() {
 fn help_prints_usage() {
     let out = run(&["help"]);
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("generate"));
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert!(usage.contains("generate"));
+    // The --spill help quotes the manifest's lag bound.
+    let lag = cocosketch::segment::MANIFEST_LAG;
+    assert!(usage.contains(&format!("up to {lag} epochs")), "{usage}");
 }

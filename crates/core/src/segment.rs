@@ -8,17 +8,18 @@
 //! collector merges a window, the sealed epoch is streamed to disk as
 //! one immutable **segment file** — the [`crate::epoch::encode`] bytes,
 //! verbatim, so [`crate::epoch::decode`] stays the single total parser
-//! — and a text **manifest** names the segments in id order. RAM holds
-//! the last N epochs; the directory holds everything.
+//! — and a text **manifest** checkpoints the segment list in id order.
+//! RAM holds the last N epochs; the directory holds everything.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! DIR/
-//!   MANIFEST                     text, atomically replaced (see below)
+//!   MANIFEST                     text checkpoint, atomically replaced
 //!   epoch-00000000.cep           epoch::encode(epoch 0)
 //!   epoch-00000001.cep           epoch::encode(epoch 1)
 //!   bucket-00000002-00000005.cep epoch::encode(merge of epochs 2..=5)
+//!   epoch-00000006.cep           appended since the last checkpoint
 //!   epoch-00000003.cep.torn      quarantined by torn-tail recovery
 //! ```
 //!
@@ -30,16 +31,31 @@
 //! seg <first> <last> <byte len> <fnv1a64 checksum, 16 hex digits>
 //! ```
 //!
+//! Whenever the manifest is written it lists every segment. Between
+//! writes, single-epoch segments appended since the last one sit
+//! unlisted after its last entry: the dense run that reopen adopts.
+//!
 //! # Durability protocol
 //!
 //! Every file — segment or manifest — is written to `<name>.tmp`,
 //! `fsync`ed, and atomically renamed into place (then the directory is
-//! fsynced, best-effort). A crash therefore leaves exactly one of:
+//! fsynced, best-effort). A single-epoch segment is **committed by its
+//! own rename**: [`EpochDir::append`] writes no manifest, so a seal
+//! costs one durable write. The manifest is a checkpoint, written by:
+//!
+//! - [`EpochDir::append`], once [`MANIFEST_LAG`] segments are unlisted;
+//! - every compaction commit, which must stop naming the merged inputs;
+//! - reopen, when recovery adopted, quarantined or dropped anything;
+//! - [`EpochDir::checkpoint`], the clean close: the background
+//!   [`Compactor`]'s final sweep and `measure` when sealing ends.
+//!
+//! A crash therefore leaves exactly one of:
 //!
 //! - a `*.tmp` leftover (deleted on reopen: the rename never happened,
-//!   the manifest never named it);
-//! - a fully-written segment the manifest does not list yet (adopted on
-//!   reopen when it carries the next dense id and decodes cleanly);
+//!   nothing ever named it);
+//! - fully-written segments the manifest does not list yet (adopted on
+//!   reopen while they carry the next dense id and decode cleanly — at
+//!   most [`MANIFEST_LAG`] of them);
 //! - a listed segment whose bytes are short or corrupt — **the torn
 //!   tail** — which reopen quarantines (renames to `<name>.torn`)
 //!   along with every later entry, so the served prefix is exactly the
@@ -50,6 +66,13 @@
 //! then are the merged inputs deleted — a crash in between leaves
 //! input files that the next reopen recognizes as covered by the
 //! manifest and garbage-collects.
+//!
+//! The writer's in-memory list is always current. A reader in the
+//! writer's process copies it as the writer publishes it after each
+//! change ([`SharedEpochDir::reader`]); a reader in another process
+//! ([`DirReader::new`]) reads the manifest, so it lags a live writer
+//! by up to [`MANIFEST_LAG`] epochs and sees everything once the
+//! writer closes.
 //!
 //! # Compaction
 //!
@@ -98,6 +121,18 @@ pub const MANIFEST_MAGIC: &str = "CDM1";
 
 /// Suffix given to quarantined (torn or undecodable) segment files.
 pub const TORN_SUFFIX: &str = ".torn";
+
+/// The most single-epoch segments the manifest leaves unlisted:
+/// [`EpochDir::append`] rewrites it once this many are. The bound caps
+/// two costs. After a crash, reopen adopts at most this many segments,
+/// reading and decoding each in full. A reader in another process,
+/// which sees only what the manifest lists, lags a live writer by at
+/// most this many epochs. Against those, a larger bound spreads the
+/// manifest rewrite — a whole-list encode plus a second write, fsync,
+/// rename and directory fsync, growing with the directory's history —
+/// over more appends: at 64 it adds under 2% to the segment write an
+/// append already pays, while reopen decodes no more than 64 segments.
+pub const MANIFEST_LAG: usize = 64;
 
 /// FNV-1a 64-bit checksum of `data` — the manifest's integrity check
 /// for segment bytes. Not cryptographic; it catches torn writes and
@@ -211,18 +246,44 @@ pub fn decode_manifest(data: &[u8]) -> io::Result<Vec<SegmentMeta>> {
     Ok(out)
 }
 
-/// Encode a manifest (inverse of [`decode_manifest`]).
-fn encode_manifest(segments: &[SegmentMeta]) -> String {
-    let mut out = String::with_capacity(8 + segments.len() * 48);
-    out.push_str(MANIFEST_MAGIC);
-    out.push('\n');
+/// Encode a manifest (inverse of [`decode_manifest`]): each line is
+/// `seg {first} {last} {bytes} {sum:016x}`, with the digits written
+/// straight into one buffer. Compaction commits encode while holding
+/// the directory lock that `append` needs, so no line allocates.
+fn encode_manifest(segments: &[SegmentMeta]) -> Vec<u8> {
+    // "seg " + three u64s of at most 20 digits + 16 hex + 3 spaces + '\n'.
+    let mut out = Vec::with_capacity(MANIFEST_MAGIC.len() + 1 + segments.len() * 84);
+    out.extend_from_slice(MANIFEST_MAGIC.as_bytes());
+    out.push(b'\n');
     for meta in segments {
-        out.push_str(&format!(
-            "seg {} {} {} {:016x}\n",
-            meta.first, meta.last, meta.bytes, meta.sum
-        ));
+        out.extend_from_slice(b"seg ");
+        push_decimal(&mut out, meta.first);
+        out.push(b' ');
+        push_decimal(&mut out, meta.last);
+        out.push(b' ');
+        push_decimal(&mut out, meta.bytes);
+        out.push(b' ');
+        for shift in (0..16).rev() {
+            out.push(b"0123456789abcdef"[(meta.sum >> (shift * 4)) as usize & 0xf]);
+        }
+        out.push(b'\n');
     }
     out
+}
+
+/// Append `n` in decimal, without leading zeros.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let start = out.len();
+    loop {
+        out.push(b'0' + (n % 10) as u8);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
+    }
 }
 
 /// Parse a segment-shaped file name back to its id range.
@@ -247,8 +308,8 @@ pub struct OpenReport {
     /// Files quarantined (renamed to `*.torn`): the torn tail and
     /// anything after it, plus undecodable adoption candidates.
     pub quarantined: Vec<PathBuf>,
-    /// Fully-written segments the manifest did not list yet (crash
-    /// between segment rename and manifest rename), re-adopted.
+    /// Fully-written segments the manifest did not list yet (appended
+    /// since the last checkpoint, with no clean close), re-adopted.
     pub adopted: usize,
     /// Leftover files whose ids the manifest already covers (committed
     /// compaction inputs), garbage-collected.
@@ -264,16 +325,26 @@ pub struct OpenReport {
 /// [`append`](Self::append)/[`compact`](Self::compact)):
 ///
 /// - segments cover a contiguous ascending id range with no overlap;
-/// - every listed segment is fully durable (written, fsynced, renamed)
-///   and its envelope decodes with [`crate::epoch::decode`];
-/// - the manifest is the source of truth: a `*.cep` file it does not
-///   list is either adopted (next dense id), garbage-collected (ids
-///   already covered), or quarantined — never silently served.
+/// - every segment in the in-memory list is fully durable (written,
+///   fsynced, renamed) and its envelope decodes with
+///   [`crate::epoch::decode`];
+/// - the manifest lists the segments as of its last write; those
+///   appended since are single epochs, at most [`MANIFEST_LAG`] of
+///   them;
+/// - the manifest plus the dense run of single-epoch files after it
+///   is the source of truth: any other `*.cep` file is either
+///   garbage-collected (ids already covered) or quarantined — never
+///   silently served.
 #[derive(Debug)]
 pub struct EpochDir<V: Vfs = StdFs> {
     fs: V,
     root: PathBuf,
     segments: Vec<SegmentMeta>,
+    /// Segments appended since the manifest was last written.
+    unlisted: usize,
+    /// Changes to `segments` since open, so that the copies a
+    /// [`SharedEpochDir`] hands its readers never go back in time.
+    generation: u64,
     /// Set while a [`SharedEpochDir::compact`] sweep builds buckets
     /// outside the lock, so at most one sweep runs at a time.
     sweeping: bool,
@@ -317,9 +388,10 @@ impl<V: Vfs> EpochDir<V> {
         };
 
         // Validate the listed prefix; quarantine from the first bad
-        // entry on. Only the tail pays a full read: earlier entries
-        // were the tail of some previous, validated generation, and
-        // their length check still catches truncation.
+        // entry on. Only the tail pays a full read: every listed
+        // segment was fsynced before its rename and renamed before a
+        // manifest named it, so the length check still catches
+        // truncation in the rest.
         let mut segments: Vec<SegmentMeta> = Vec::new();
         let mut quarantining = false;
         for (idx, meta) in listed.iter().enumerate() {
@@ -341,9 +413,9 @@ impl<V: Vfs> EpochDir<V> {
             }
         }
 
-        // Adopt fully-written segments the manifest missed: a crash
-        // between the segment rename and the manifest rename leaves
-        // exactly the next dense id unlisted.
+        // Adopt fully-written segments the manifest does not list yet:
+        // the dense run of single epochs appended since its last
+        // write, each committed by its own rename.
         loop {
             let next = match segments.last() {
                 Some(meta) => match meta.last.checked_add(1) {
@@ -415,10 +487,12 @@ impl<V: Vfs> EpochDir<V> {
             }
         }
 
-        let dir = EpochDir {
+        let mut dir = EpochDir {
             fs,
             root,
             segments,
+            unlisted: 0,
+            generation: 0,
             sweeping: false,
         };
         if dir.segments != listed {
@@ -480,7 +554,11 @@ impl<V: Vfs> EpochDir<V> {
     }
 
     /// Stream one sealed epoch to disk: encode, write-to-temp, fsync,
-    /// atomic rename, then atomically replace the manifest. Re-offering
+    /// atomic rename, directory fsync. The rename commits the segment:
+    /// once `append` returns, reopen serves the epoch, adopting it if
+    /// the manifest does not list it yet. The manifest is rewritten
+    /// only when [`MANIFEST_LAG`] segments are unlisted, so a typical
+    /// append is one durable write. Re-offering
     /// an id the directory already covers is a verified no-op (`Ok`):
     /// re-spill after a partial failure must be idempotent, so the
     /// offered epoch's bytes are checked against the stored segment's
@@ -536,6 +614,23 @@ impl<V: Vfs> EpochDir<V> {
         };
         write_file_atomic(&self.fs, &self.root, &meta.file_name(), &data)?;
         self.segments.push(meta);
+        self.generation += 1;
+        self.unlisted += 1;
+        if self.unlisted >= MANIFEST_LAG {
+            self.write_manifest()?;
+        }
+        Ok(())
+    }
+
+    /// The clean close: list every segment in the manifest, if any is
+    /// unlisted. A directory closed this way reopens with nothing to
+    /// adopt, and a reader in another process sees every epoch.
+    /// Dropping the directory without it is a crash as far as the disk
+    /// knows — safe, since reopen adopts the unlisted tail.
+    pub fn checkpoint(&mut self) -> io::Result<()> {
+        if self.unlisted == 0 {
+            return Ok(());
+        }
         self.write_manifest()
     }
 
@@ -583,7 +678,7 @@ impl<V: Vfs> EpochDir<V> {
         let mut report = CompactReport::default();
         while let Some(members) = self.plan_bucket(policy) {
             let bucket = build_bucket(&self.fs, &self.root, &members)?;
-            commit_bucket(&mut *self, &members, bucket)?;
+            commit_bucket(&mut *self, &members, bucket, drop)?;
             report.buckets += 1;
             report.merged_epochs += members.len();
         }
@@ -621,14 +716,25 @@ impl<V: Vfs> EpochDir<V> {
         None
     }
 
-    /// Atomically replace the manifest with the current segment list.
-    fn write_manifest(&self) -> io::Result<()> {
+    /// A copy of the segment list for readers, tagged with its
+    /// generation.
+    fn listing(&self) -> Listing {
+        Listing {
+            generation: self.generation,
+            segments: self.segments.clone(),
+        }
+    }
+
+    /// Atomically replace the manifest with the whole segment list.
+    fn write_manifest(&mut self) -> io::Result<()> {
         write_file_atomic(
             &self.fs,
             &self.root,
             MANIFEST_NAME,
-            encode_manifest(&self.segments).as_bytes(),
-        )
+            &encode_manifest(&self.segments),
+        )?;
+        self.unlisted = 0;
+        Ok(())
     }
 }
 
@@ -715,14 +821,16 @@ fn build_bucket<V: Vfs>(fs: &V, root: &Path, members: &[SegmentMeta]) -> io::Res
 
 /// The commit step: check that `members` are still listed
 /// contiguously, splice `bucket` in their place, and replace the
-/// manifest. Then `dir` is dropped — releasing the lock when it is
-/// [`SharedEpochDir`]'s guard — before the inputs are deleted: the
-/// manifest no longer names them, so deletion is pure GC (a crash
+/// manifest. Then `dir` goes to `release` — which drops it, releasing
+/// the lock when it is [`SharedEpochDir`]'s guard, and hands readers
+/// the new list — before the inputs are deleted: the manifest and the
+/// readers' list no longer name them, so deletion is pure GC (a crash
 /// mid-way leaves orphans that the next open removes the same way).
-fn commit_bucket<V: Vfs>(
-    mut dir: impl DerefMut<Target = EpochDir<V>>,
+fn commit_bucket<V: Vfs, D: DerefMut<Target = EpochDir<V>>>(
+    mut dir: D,
     members: &[SegmentMeta],
     bucket: SegmentMeta,
+    release: impl FnOnce(D),
 ) -> io::Result<()> {
     let start = dir
         .segments
@@ -737,9 +845,10 @@ fn commit_bucket<V: Vfs>(
         })?;
     dir.segments
         .splice(start..start + members.len(), std::iter::once(bucket));
+    dir.generation += 1;
     dir.write_manifest()?;
     let (fs, root) = (dir.fs.clone(), dir.root.clone());
-    drop(dir);
+    release(dir);
     for member in members {
         fs.remove_file(&root.join(member.file_name()))?;
     }
@@ -846,13 +955,23 @@ impl<V: Vfs> SpillSink for EpochDir<V> {
 ///
 /// # Which steps hold the lock
 ///
-/// `append`, `covers`, `ids` and the other accessors run under the
-/// lock, as does each compaction bucket's *plan* (choose the run) and
-/// *commit* (splice, manifest). A bucket's *build* — member reads,
-/// merge, encode, the bucket file's write, fsync and rename — and the
-/// deletion of its inputs run with no guard live, so sealing never
-/// waits on a merge. A `sweeping` flag under the same lock keeps
+/// `append`, `checkpoint`, `covers`, `ids` and the other accessors run
+/// under the lock, as does each compaction bucket's *plan* (choose the
+/// run) and *commit* (splice, manifest). A bucket's *build* — member
+/// reads, merge, encode, the bucket file's write, fsync and rename —
+/// and the deletion of its inputs run with no guard live, so sealing
+/// never waits on a merge. A `sweeping` flag under the same lock keeps
 /// builds to one at a time.
+///
+/// Readers ([`reader`](Self::reader)) never take this lock. Each change
+/// to the segment list — an append, a compaction commit — copies the
+/// list under it and, once it is released, copies it into a published
+/// list behind a second lock that is held only to copy a list in or
+/// out. So a cold read never waits out a segment's write and fsync,
+/// and the seal path waits on a reader only while it copies the list.
+/// Copies carry the list's generation and an older one never replaces
+/// a newer one, so two writers publishing out of order cannot roll
+/// readers back. A compaction publishes before it deletes its inputs.
 ///
 /// # Poisoning policy: recover, never abort, never propagate
 ///
@@ -871,6 +990,30 @@ impl<V: Vfs> SpillSink for EpochDir<V> {
 #[derive(Debug, Clone)]
 pub struct SharedEpochDir<V: Vfs = StdFs> {
     inner: Arc<Mutex<EpochDir<V>>>,
+    /// The newest published copy of the segment list, for readers.
+    listing: Arc<Mutex<Listing>>,
+}
+
+/// A copy of an [`EpochDir`]'s segment list, as readers see it.
+#[derive(Debug)]
+struct Listing {
+    /// The [`EpochDir`] generation the copy was taken at.
+    generation: u64,
+    segments: Vec<SegmentMeta>,
+}
+
+impl Listing {
+    /// Take `newer`'s list unless this copy is at least as new. The
+    /// list is copied into this one's buffer, and readers copy out of
+    /// it, so no list is freed by a thread other than the one that
+    /// made it.
+    fn advance(&mut self, newer: &Listing) {
+        if newer.generation > self.generation {
+            self.generation = newer.generation;
+            self.segments.clear();
+            self.segments.extend_from_slice(&newer.segments);
+        }
+    }
 }
 
 impl SharedEpochDir {
@@ -886,6 +1029,7 @@ impl<V: Vfs> SharedEpochDir<V> {
         let (dir, report) = EpochDir::open_on(fs, root)?;
         Ok((
             SharedEpochDir {
+                listing: Arc::new(Mutex::new(dir.listing())),
                 inner: Arc::new(Mutex::new(dir)),
             },
             report,
@@ -896,9 +1040,23 @@ impl<V: Vfs> SharedEpochDir<V> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// [`EpochDir::append`] under the lock.
+    /// [`EpochDir::append`] under the lock; the new list reaches
+    /// readers once the lock is released.
     pub fn append(&self, epoch: &Epoch) -> io::Result<()> {
-        self.lock().append(epoch)
+        let mut dir = self.lock();
+        let appended = dir.append(epoch);
+        let listing = dir.listing();
+        drop(dir);
+        self.listing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .advance(&listing);
+        appended
+    }
+
+    /// [`EpochDir::checkpoint`] under the lock.
+    pub fn checkpoint(&self) -> io::Result<()> {
+        self.lock().checkpoint()
     }
 
     /// [`EpochDir::read_epoch`] under the lock.
@@ -950,7 +1108,14 @@ impl<V: Vfs> SharedEpochDir<V> {
                     return Ok(report);
                 };
                 let bucket = build_bucket(&fs, &root, &members)?;
-                commit_bucket(self.lock(), &members, bucket)?;
+                commit_bucket(self.lock(), &members, bucket, |dir| {
+                    let listing = dir.listing();
+                    drop(dir);
+                    self.listing
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .advance(&listing);
+                })?;
                 report.buckets += 1;
                 report.merged_epochs += members.len();
             }
@@ -959,12 +1124,19 @@ impl<V: Vfs> SharedEpochDir<V> {
         swept.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
-    /// A lock-free read-only handle to the same directory, for readers
-    /// (the resident query service) that must never contend with the
-    /// seal path.
+    /// A read-only handle to the same directory for readers in this
+    /// process (the resident query service). Its segment list, sums
+    /// included, is this writer's in-memory list as last published:
+    /// it holds every appended epoch whether or not the manifest lists
+    /// it yet. Readers never take the directory lock (see "Which steps
+    /// hold the lock").
     pub fn reader(&self) -> DirReader<V> {
         let guard = self.lock();
-        DirReader::on(guard.fs.clone(), guard.root())
+        DirReader {
+            fs: guard.fs.clone(),
+            root: guard.root.clone(),
+            listing: Some(Arc::clone(&self.listing)),
+        }
     }
 }
 
@@ -978,42 +1150,50 @@ impl<V: Vfs> SpillSink for SharedEpochDir<V> {
     }
 }
 
-/// A stateless read-only view of an epoch directory: every call
-/// re-reads the manifest, so a long-lived reader observes appends and
-/// compactions without holding any lock or file handle. Reads validate
-/// like [`EpochDir::read_epoch`] but never repair — recovery belongs to the
+/// A read-only view of an epoch directory. Every call fetches the
+/// current segment list, so a long-lived reader observes appends and
+/// compactions without holding a file handle. Made by
+/// [`new`](DirReader::new) it reads the manifest, as a reader in
+/// another process must, and so lags a live writer by up to
+/// [`MANIFEST_LAG`] epochs; made by [`SharedEpochDir::reader`] it
+/// copies the writer's published list. Reads validate like
+/// [`EpochDir::read_epoch`] but never repair — recovery belongs to the
 /// writer's [`EpochDir::open`].
 #[derive(Debug, Clone)]
 pub struct DirReader<V: Vfs = StdFs> {
     fs: V,
     root: PathBuf,
+    /// The writer's published list that [`segments`](Self::segments)
+    /// copies; `None` reads the manifest.
+    listing: Option<Arc<Mutex<Listing>>>,
 }
 
 impl DirReader {
-    /// A reader over `root` on the real filesystem. The directory may
-    /// not exist yet; reads simply find no epochs until a writer
-    /// creates it.
+    /// A reader over `root` on the real filesystem, listing what the
+    /// manifest lists. The directory may not exist yet; reads simply
+    /// find no epochs until a writer creates it.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        DirReader::on(StdFs, root)
+        DirReader {
+            fs: StdFs,
+            root: root.into(),
+            listing: None,
+        }
     }
 }
 
 impl<V: Vfs> DirReader<V> {
-    /// A reader over `root` on `fs`; see [`new`](DirReader::new).
-    pub fn on(fs: V, root: impl Into<PathBuf>) -> Self {
-        DirReader {
-            fs,
-            root: root.into(),
-        }
-    }
-
     /// The directory this reader observes.
     pub fn root(&self) -> &Path {
         &self.root
     }
 
-    /// The manifest's current entries (empty when no manifest exists).
+    /// The current segment list, in id order: the writer's, or the
+    /// manifest's entries (empty when no manifest exists).
     pub fn segments(&self) -> io::Result<Vec<SegmentMeta>> {
+        if let Some(listing) = &self.listing {
+            let published = listing.lock().unwrap_or_else(PoisonError::into_inner);
+            return Ok(published.segments.clone());
+        }
         match self.fs.read(&self.root.join(MANIFEST_NAME)) {
             Ok(data) => decode_manifest(&data),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
@@ -1034,7 +1214,7 @@ impl<V: Vfs> DirReader<V> {
     /// the segment file behind one manifest entry — single epoch or
     /// compacted bucket. Metas come from [`segments`](Self::segments);
     /// reading all matching entries from one `segments()` call costs
-    /// one manifest parse instead of one per id.
+    /// one list fetch instead of one per id.
     pub fn read_segment(&self, meta: &SegmentMeta) -> io::Result<Epoch> {
         read_segment(&self.fs, &self.root, meta)
     }
@@ -1089,30 +1269,35 @@ pub struct Compactor {
 
 /// Start a background thread that runs [`EpochDir::compact`] on `dir`
 /// whenever [`nudge`](Compactor::nudge)d (queued nudges coalesce into
-/// one sweep) and once more at shutdown. Event-driven by design: no
+/// one sweep) and once more at shutdown. The final sweep is also the
+/// directory's clean close: it [`checkpoint`](EpochDir::checkpoint)s,
+/// so the manifest lists every segment. Event-driven by design: no
 /// timers, so behaviour is a deterministic function of the nudge
 /// sequence — the seal path nudges once per sealed epoch.
 pub fn spawn_compactor<V: Vfs>(dir: SharedEpochDir<V>, policy: CompactionPolicy) -> Compactor {
     let (nudges, inbox) = mpsc::channel::<()>();
     let handle = std::thread::spawn(move || {
         let mut totals = CompactTotals::default();
-        let sweep = |totals: &mut CompactTotals| match dir.compact(&policy) {
-            Ok(report) => {
-                totals.rounds += 1;
-                totals.buckets += report.buckets;
-                totals.merged_epochs += report.merged_epochs;
-            }
-            Err(e) => {
-                totals.rounds += 1;
-                totals.errors += 1;
-                totals.last_error = Some(e.to_string());
+        let record = |totals: &mut CompactTotals, swept: io::Result<CompactReport>| {
+            totals.rounds += 1;
+            match swept {
+                Ok(report) => {
+                    totals.buckets += report.buckets;
+                    totals.merged_epochs += report.merged_epochs;
+                }
+                Err(e) => {
+                    totals.errors += 1;
+                    totals.last_error = Some(e.to_string());
+                }
             }
         };
         while inbox.recv().is_ok() {
             while inbox.try_recv().is_ok() {}
-            sweep(&mut totals);
+            record(&mut totals, dir.compact(&policy));
         }
-        sweep(&mut totals);
+        let last = dir.compact(&policy);
+        let closed = dir.checkpoint();
+        record(&mut totals, last.and_then(|report| closed.map(|()| report)));
         totals
     });
     Compactor {
@@ -1129,7 +1314,8 @@ impl Compactor {
         }
     }
 
-    /// Stop the thread (after one final sweep) and return its totals.
+    /// Stop the thread (after one final sweep, which leaves the
+    /// manifest listing every segment) and return its totals.
     /// A sweep that panicked is re-raised here with its original
     /// payload.
     pub fn finish(mut self) -> CompactTotals {
@@ -1281,7 +1467,7 @@ mod tests {
             },
         ];
         let text = encode_manifest(&metas);
-        assert_eq!(decode_manifest(text.as_bytes()).unwrap(), metas);
+        assert_eq!(decode_manifest(&text).unwrap(), metas);
         assert!(decode_manifest(b"nope\n").is_err());
         assert!(
             decode_manifest(b"CDM1\nseg 1 0 5 00\n").is_err(),
@@ -1293,6 +1479,116 @@ mod tests {
         );
         assert!(decode_manifest(b"CDM1\nseg 0 0 5\n").is_err(), "short line");
         assert!(decode_manifest(&[0xFF, 0xFE]).is_err(), "not utf-8");
+    }
+
+    #[test]
+    fn manifest_encoding_matches_the_format_reference() {
+        // The encoder writes digits by hand; its bytes must equal one
+        // `format!("seg {} {} {} {:016x}\n")` line per segment.
+        let edges = [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            0xDEAD_BEEF,
+            u64::from(u32::MAX) + 1,
+            u64::MAX / 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let metas: Vec<SegmentMeta> = (0..edges.len())
+            .map(|i| SegmentMeta {
+                first: edges[i],
+                last: edges[(i + 1) % edges.len()],
+                bytes: edges[(i + 5) % edges.len()],
+                sum: edges[(i + 7) % edges.len()],
+            })
+            .collect();
+        assert!(metas.iter().any(|m| m.sum == 0) && metas.iter().any(|m| m.sum == u64::MAX));
+        let mut want = format!("{MANIFEST_MAGIC}\n");
+        for m in &metas {
+            want.push_str(&format!(
+                "seg {} {} {} {:016x}\n",
+                m.first, m.last, m.bytes, m.sum
+            ));
+        }
+        assert_eq!(encode_manifest(&metas), want.into_bytes());
+        assert_eq!(encode_manifest(&[]), b"CDM1\n");
+    }
+
+    #[test]
+    fn manifest_lags_by_at_most_the_bound_and_a_clean_close_lists_every_segment() {
+        let root = tmp("checkpoint");
+        let (shared, _) = SharedEpochDir::open(&root).unwrap();
+        let from_manifest = DirReader::new(&root);
+        let from_writer = shared.reader();
+        let lag = MANIFEST_LAG as u64;
+        for id in 0..lag + 3 {
+            shared.append(&epoch(id, 4)).unwrap();
+            // The append that leaves MANIFEST_LAG segments unlisted
+            // lists them all; the writer's own reader never lags.
+            let listed = from_manifest.ids().unwrap();
+            assert_eq!(listed, (id >= lag - 1).then_some((0, lag - 1)), "{id}");
+            assert_eq!(from_writer.ids().unwrap(), Some((0, id)));
+        }
+        shared.checkpoint().unwrap();
+        let segments = from_writer.segments().unwrap();
+        assert_eq!(
+            std::fs::read(root.join(MANIFEST_NAME)).unwrap(),
+            encode_manifest(&segments)
+        );
+        assert_eq!(from_manifest.segments().unwrap(), segments);
+        drop((shared, from_writer));
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: segments.len(),
+                ..OpenReport::default()
+            }
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_dropped_dir_leaves_an_unlisted_tail_that_reopen_adopts_bit_identically() {
+        let root = tmp("unlisted-tail");
+        let (mut dir, _) = EpochDir::open(&root).unwrap();
+        let epochs: Vec<Epoch> = (0..5).map(|id| epoch(id, 30 + id as u32)).collect();
+        for e in &epochs[..2] {
+            dir.append(e).unwrap();
+        }
+        dir.checkpoint().unwrap();
+        let listed = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
+        for e in &epochs[2..] {
+            dir.append(e).unwrap();
+        }
+        drop(dir);
+        assert_eq!(
+            std::fs::read(root.join(MANIFEST_NAME)).unwrap(),
+            listed,
+            "appends below the bound write no manifest"
+        );
+        let (dir, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: 5,
+                adopted: 3,
+                ..OpenReport::default()
+            }
+        );
+        for e in &epochs {
+            let back = dir.read_epoch(e.id).unwrap().unwrap();
+            assert_eq!(epoch::encode(&back), epoch::encode(e), "epoch {}", e.id);
+        }
+        drop(dir);
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(report.adopted, 0, "adoption listed the tail: {report:?}");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -1352,6 +1648,36 @@ mod tests {
         assert_eq!(reader.ids().unwrap(), Some((0, 8)));
         let segments = shared.len();
         assert!(segments < 9, "compaction shrank {segments} < 9 segments");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn the_compactors_final_sweep_is_a_clean_close() {
+        let root = tmp("compactor-close");
+        let (shared, _) = SharedEpochDir::open(&root).unwrap();
+        // Bucket 0 never compacts: only the final sweep lists anything.
+        let never = CompactionPolicy {
+            bucket: 0,
+            keep_recent: 0,
+        };
+        let compactor = spawn_compactor(shared.clone(), never);
+        for id in 0..3 {
+            shared.append(&epoch(id, 10)).unwrap();
+            compactor.nudge();
+        }
+        assert!(!root.join(MANIFEST_NAME).exists());
+        let totals = compactor.finish();
+        assert_eq!(totals.errors, 0, "{:?}", totals.last_error);
+        assert_eq!(DirReader::new(&root).ids().unwrap(), Some((0, 2)));
+        drop(shared);
+        let (_, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(
+            report,
+            OpenReport {
+                segments: 3,
+                ..OpenReport::default()
+            }
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1541,6 +1867,55 @@ mod tests {
     }
 
     #[test]
+    fn readers_never_wait_on_the_directory_lock() {
+        let root = tmp("reader-unlocked");
+        let (shared, _) = SharedEpochDir::open(&root).unwrap();
+        for id in 0..3 {
+            shared.append(&epoch(id, 10)).unwrap();
+        }
+        let reader = shared.reader();
+        // Stand in for an append parked in its segment write, fsync
+        // and rename: hold the directory lock.
+        let held = shared.inner.lock().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ids = reader.ids().unwrap();
+            let read = reader.read_epoch(2).unwrap().map(|e| e.id);
+            let _ = done_tx.send((ids, read));
+        });
+        let (ids, read) = done_rx
+            .recv_timeout(WATCHDOG)
+            .unwrap_or_else(|_| panic!("a reader waited on the directory lock"));
+        drop(held);
+        assert_eq!((ids, read), (Some((0, 2)), Some(2)));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_late_listing_never_replaces_a_newer_one() {
+        let meta = |id| SegmentMeta {
+            first: id,
+            last: id,
+            bytes: 1,
+            sum: 0,
+        };
+        let mut published = Listing {
+            generation: 2,
+            segments: vec![meta(0), meta(1)],
+        };
+        published.advance(&Listing {
+            generation: 1,
+            segments: vec![meta(0)],
+        });
+        assert_eq!((published.generation, published.segments.len()), (2, 2));
+        published.advance(&Listing {
+            generation: 3,
+            segments: vec![meta(0), meta(1), meta(2)],
+        });
+        assert_eq!((published.generation, published.segments.len()), (3, 3));
+    }
+
+    #[test]
     fn compactor_panic_is_reraised_with_its_payload() {
         let root = tmp("panic-payload");
         let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
@@ -1645,7 +2020,7 @@ mod tests {
         let members = dir.plan_bucket(&PAIRS).unwrap();
         let bucket = build_bucket(&dir.fs, &dir.root, &members).unwrap();
         dir.segments.remove(1);
-        let err = commit_bucket(&mut dir, &members, bucket).unwrap_err();
+        let err = commit_bucket(&mut dir, &members, bucket, drop).unwrap_err();
         assert!(
             err.to_string().contains("no longer listed contiguously"),
             "{err}"

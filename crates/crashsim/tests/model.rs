@@ -1,20 +1,22 @@
 //! Crash-consistency model tests: run the real segment store against
 //! [`crashsim::SimFs`], then exhaustively enumerate crash schedules
-//! and re-run real recovery at each one. Four workloads cover the
-//! commit paths (append run, compaction's commit-before-delete
-//! window, spill-under-eviction, and an append landing between a
-//! bucket's rename and the compaction's manifest commit), and a seeded
-//! fault — fsyncs swallowed, the runtime equivalent of deleting the
-//! `sync_all` before the rename — must produce failing schedules.
+//! and re-run real recovery at each one. Five workloads cover the
+//! commit paths (an append run ending in a clean close, compaction's
+//! commit-before-delete window, spill-under-eviction, an append
+//! landing between a bucket's rename and the compaction's manifest
+//! commit, and appends past [`MANIFEST_LAG`], whose last listing and
+//! unlisted tail reopen must adopt), and a seeded fault — fsyncs
+//! swallowed, the runtime equivalent of deleting the `sync_all` before
+//! the rename — must produce failing schedules.
 //!
 //! Schedule counts are printed per workload; `CRASHSIM_EXHAUSTIVE=1`
 //! (the `VERIFY_HEAVY` path) scales the workloads up and tears writes
 //! at finer granularity, and asserts the >500-schedule floor.
 
-use cocosketch::segment::{CompactionPolicy, EpochDir, SharedEpochDir};
+use cocosketch::segment::{CompactionPolicy, EpochDir, SharedEpochDir, MANIFEST_LAG};
 use cocosketch::{Epoch, EpochStore, FlowTable};
 use crashsim::{enumerate, CrashOptions, DurabilityCheck, Op, SimFs};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use traffic::{FiveTuple, KeyBytes, KeySpec};
 
@@ -43,17 +45,29 @@ fn exhaustive() -> bool {
 
 /// Workload scale: (appends, rows per epoch, torn-write block bytes).
 /// The heavy tier tears at much finer granularity and runs a longer
-/// history, pushing the schedule count past the 500 floor.
+/// history, pushing the schedule count past the 500 floor. An append
+/// is one durable write (five ops), so each tier runs enough appends
+/// to clear its floor: 4 bounded, 12 heavy.
 fn scale() -> (u64, u32, usize) {
     if exhaustive() {
-        (10, 60, 32)
+        (12, 60, 32)
     } else {
-        (3, 24, 512)
+        (4, 24, 512)
     }
+}
+
+/// Indices of the trace's renames onto `path`.
+fn renames_onto(trace: &[Op], path: &Path) -> Vec<usize> {
+    (0..trace.len())
+        .filter(|&i| matches!(&trace[i], Op::Rename { to, .. } if to == path))
+        .collect()
 }
 
 #[test]
 fn append_run_survives_every_crash_schedule() {
+    // Appends below the bound write no manifest; the clean close
+    // lists them all. Every crash before the close must adopt the
+    // unlisted run, and every crash inside it must too.
     let (appends, rows, block) = scale();
     let fs = SimFs::new();
     let root = Path::new("/sim/append");
@@ -65,6 +79,9 @@ fn append_run_survives_every_crash_schedule() {
         dir.append(&e).unwrap();
         check.ack(fs.mark(), id);
     }
+    assert!(renames_onto(&fs.trace(), &root.join("MANIFEST")).is_empty());
+    dir.checkpoint().unwrap();
+    assert_eq!(renames_onto(&fs.trace(), &root.join("MANIFEST")).len(), 1);
     let opts = CrashOptions {
         block,
         ..CrashOptions::default()
@@ -206,26 +223,20 @@ fn append_between_bucket_rename_and_manifest_commit_survives_every_crash_schedul
 
     // Pin the interleaving in the trace: after the bucket's rename and
     // before the first input is deleted, the late epoch's segment
-    // renames in and two manifest commits follow — the append's (acked
-    // at `late_mark`), then the compaction's.
+    // renames in (acked at `late_mark`, with no manifest of its own),
+    // then the compaction's manifest commit lists it with the bucket.
     let trace = fs.trace();
-    let renames_onto = |path: PathBuf| -> Vec<usize> {
-        (0..trace.len())
-            .filter(|&i| matches!(&trace[i], Op::Rename { to, .. } if *to == path))
-            .collect()
-    };
-    let bucket_at = renames_onto(first_bucket)[0];
-    let late_at = renames_onto(root.join(format!("epoch-{appends:08}.cep")))[0];
+    let bucket_at = renames_onto(&trace, &first_bucket)[0];
+    let late_at = renames_onto(&trace, &root.join(format!("epoch-{appends:08}.cep")))[0];
     let first_unlink = (0..trace.len())
         .find(|&i| matches!(trace[i], Op::Unlink { .. }))
         .expect("compaction deletes its inputs");
-    let commits: Vec<usize> = renames_onto(root.join("MANIFEST"))
+    let commits: Vec<usize> = renames_onto(&trace, &root.join("MANIFEST"))
         .into_iter()
         .filter(|&i| bucket_at < i && i < first_unlink)
         .collect();
-    assert_eq!(commits.len(), 2, "{commits:?}");
-    assert!(bucket_at < late_at && late_at < commits[0] && commits[0] < late_mark);
-    assert!(late_mark <= commits[1]);
+    assert_eq!(commits.len(), 1, "{commits:?}");
+    assert!(bucket_at < late_at && late_at < late_mark && late_mark <= commits[0]);
 
     let mark = fs.mark();
     for id in 0..=appends {
@@ -243,6 +254,50 @@ fn append_between_bucket_rename_and_manifest_commit_survives_every_crash_schedul
     assert!(crashes.clean(), "{:#?}", crashes.violations);
     if exhaustive() {
         assert!(crashes.schedules > 500, "{}", crashes.schedules);
+    }
+}
+
+#[test]
+fn appends_past_the_manifest_lag_survive_every_crash_schedule() {
+    // No compaction: the only manifest write is the in-append listing
+    // the MANIFEST_LAG-th unlisted segment triggers. A crash just
+    // before its rename leaves the whole bound unlisted, and every
+    // acked epoch must still be adopted; the append after it starts
+    // a new unlisted tail.
+    let (_, rows, block) = scale();
+    let appends = MANIFEST_LAG as u64 + 1;
+    let fs = SimFs::new();
+    let root = Path::new("/sim/lag");
+    let (mut dir, _) = EpochDir::open_on(fs.clone(), root).unwrap();
+    let mut check = DurabilityCheck::default();
+    let mut marks = Vec::new();
+    for id in 0..appends {
+        let e = small_epoch(id, rows);
+        check.offer(&e);
+        dir.append(&e).unwrap();
+        marks.push(fs.mark());
+        check.ack(fs.mark(), id);
+    }
+    let trace = fs.trace();
+    let listings = renames_onto(&trace, &root.join("MANIFEST"));
+    let bound = MANIFEST_LAG - 1;
+    let bound_segment = renames_onto(&trace, &root.join(format!("epoch-{bound:08}.cep")))[0];
+    assert_eq!(listings.len(), 1, "{listings:?}");
+    assert!(bound_segment < listings[0] && listings[0] < marks[MANIFEST_LAG - 1]);
+    assert!(marks[MANIFEST_LAG - 1] < marks[MANIFEST_LAG]);
+    let opts = CrashOptions {
+        block,
+        ..CrashOptions::default()
+    };
+    let report = enumerate(&fs, root, &check, &opts);
+    eprintln!(
+        "crashsim: appends past the manifest lag ({appends} epochs) explored {} schedules",
+        report.schedules
+    );
+    assert!(report.clean(), "{:#?}", report.violations);
+    assert!(report.schedules > trace.len(), "{}", report.schedules);
+    if exhaustive() {
+        assert!(report.schedules > 500, "{}", report.schedules);
     }
 }
 

@@ -96,9 +96,12 @@ pub fn service(keep: usize) -> (Publisher, Arc<Service>) {
 }
 
 /// [`service`] with a durable tier attached: reads that miss the
-/// in-memory catalog fall through to `cold` (a stateless reader over
-/// an epoch directory that the seal path streams segments into), so
-/// readers can query windows that aged out of memory. Cold answers go
+/// in-memory catalog fall through to `cold`, a reader over the epoch
+/// directory that the seal path streams segments into, so readers can
+/// query windows that aged out of memory. Pass the seal path's
+/// [`SharedEpochDir::reader`](cocosketch::SharedEpochDir::reader): its
+/// list holds every appended epoch, while the manifest that
+/// [`DirReader::new`] reads may not list the newest ones yet. Cold answers go
 /// through exactly the same aggregation as warm ones, and segment
 /// reads validate checksum and envelope, so a backfilled answer is
 /// bit-identical to the answer the in-memory epoch gave before
@@ -250,7 +253,7 @@ impl Service {
     /// sizes across windows (exact: per-epoch tables hold exact
     /// per-key totals of what each window ingested). Warm ids come
     /// from the catalog; everything else comes from the durable tier,
-    /// whose manifest is read **once per call**. A compacted bucket
+    /// whose segment list is fetched **once per call**. A compacted bucket
     /// whose whole id range lies inside the query contributes its
     /// merged table — compaction conserves per-key sums exactly, so
     /// that equals summing its member epochs — while a bucket that
@@ -654,20 +657,25 @@ mod tests {
 
     #[test]
     fn cold_backfill_serves_evicted_epochs_bit_identical() {
-        use cocosketch::segment::EpochDir;
+        // The production shape: the seal path appends through a
+        // SharedEpochDir and the service reads through its reader().
+        use cocosketch::SharedEpochDir;
         let root = std::env::temp_dir().join(format!("serve-cold-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
-        let (mut dir, _) = EpochDir::open(&root).unwrap();
-        let (mut publisher, svc) = service_with_cold(2, DirReader::new(&root));
+        let (shared, _) = SharedEpochDir::open(&root).unwrap();
+        let (mut publisher, svc) = service_with_cold(1, shared.reader());
         let spec = KeySpec::SRC_IP;
         let mut direct = Vec::new();
         for id in 0..5u64 {
             let e = epoch(id, 150, id as u32 * 7);
-            dir.append(&e).unwrap();
+            shared.append(&e).unwrap();
             direct.push(e.primary().query_all_entries(&[spec])[0].clone());
             publisher.publish_epoch(e);
         }
-        assert_eq!(svc.info().ids, Some((3, 4)), "catalog holds the last 2");
+        assert_eq!(svc.info().ids, Some((4, 4)), "catalog holds the last 1");
+        // No MANIFEST lists the appended epochs yet, so every cold
+        // answer below comes from the writer's in-memory list.
+        assert_eq!(DirReader::new(&root).ids().unwrap(), None);
         // Every id answers — warm from the catalog, cold from disk —
         // and cold answers match the pre-eviction direct scans exactly.
         for id in 0..5u64 {
@@ -810,9 +818,13 @@ mod tests {
         for id in 0..2u64 {
             dir.append(&epoch(id, 60, id as u32)).unwrap();
         }
-        // A reader attaches to a restarted collector: nothing published
-        // yet, but the directory has history.
-        let (_publisher, svc) = service_with_cold(2, DirReader::new(&root));
+        drop(dir);
+        // A reader attaches to a restarted collector, whose reopen
+        // listed the segments it adopted: nothing published yet, but
+        // the directory has history.
+        let (dir, report) = EpochDir::open(&root).unwrap();
+        assert_eq!(report.adopted, 2);
+        let (_publisher, svc) = service_with_cold(2, DirReader::new(dir.root()));
         let ans = svc.partial(Select::Latest, &KeySpec::SRC_IP).unwrap();
         assert_eq!(ans.epoch, 1, "cold latest");
         let (_, contributed) = svc.window(0, 9, &KeySpec::SRC_IP).unwrap();

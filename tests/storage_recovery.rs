@@ -1,14 +1,16 @@
 //! Crash-recovery and durability integration of the epoch segment
 //! store: a torn tail quarantines instead of panicking (at *every*
 //! truncation boundary), adoption heals the crash window between the
-//! segment rename and the manifest rename, eviction spills epochs that
-//! reload bit-identically, and compaction conserves weight per key
-//! exactly. The final test drives the same compaction protocol through
+//! last segment rename and the manifest rename that would list it,
+//! eviction spills epochs that reload bit-identically, and compaction
+//! conserves weight per key exactly. The final test drives the same compaction protocol through
 //! `crashsim`, re-running real recovery at every enumerable crash
 //! point of the commit-before-delete window.
 
-use cocosketch::segment::{CompactionPolicy, EpochDir, SharedEpochDir, MANIFEST_NAME};
-use cocosketch::{epoch, DirReader, Epoch, EpochStore, FlowTable};
+use cocosketch::segment::{
+    CompactionPolicy, EpochDir, SharedEpochDir, MANIFEST_LAG, MANIFEST_NAME,
+};
+use cocosketch::{epoch, Epoch, EpochStore, FlowTable};
 use engine::{EngineConfig, ShardedCocoSketch};
 use hashkit::FastMap;
 use traffic::presets::caida_like;
@@ -51,6 +53,9 @@ fn truncated_tail_quarantines_and_serves_the_prefix() {
     for id in 0..3 {
         dir.append(&small_epoch(id, 40)).unwrap();
     }
+    // A clean close lists the tail, so its truncation is a listed
+    // segment's, not an unlisted one's.
+    dir.checkpoint().unwrap();
     let prefix: Vec<Vec<u8>> = (0..2)
         .map(|id| epoch::encode(&dir.read_epoch(id).unwrap().unwrap()))
         .collect();
@@ -94,30 +99,45 @@ fn truncated_tail_quarantines_and_serves_the_prefix() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A crash after the segment rename but before the manifest rename
-/// leaves exactly the next dense id unlisted; reopen adopts it.
+/// Segments commit by their own rename and the manifest lists them
+/// only once [`MANIFEST_LAG`] are unlisted. A crash after the segment
+/// rename that reaches the bound, but before the manifest rename it
+/// triggers, leaves the whole bound unlisted; reopen adopts all of it.
 #[test]
 fn adoption_heals_a_crash_between_segment_and_manifest_rename() {
     let root = tmp("adopt");
     let (mut dir, _) = EpochDir::open(&root).unwrap();
     dir.append(&small_epoch(0, 30)).unwrap();
-    dir.append(&small_epoch(1, 30)).unwrap();
+    dir.checkpoint().unwrap();
     let stale_manifest = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
-    let third = small_epoch(2, 30);
-    dir.append(&third).unwrap();
+    let tail: Vec<Epoch> = (1..=MANIFEST_LAG as u64)
+        .map(|id| small_epoch(id, 30))
+        .collect();
+    for e in &tail {
+        dir.append(e).unwrap();
+    }
+    assert_ne!(
+        std::fs::read(root.join(MANIFEST_NAME)).unwrap(),
+        stale_manifest,
+        "the append that reached the bound listed the tail"
+    );
     drop(dir);
 
-    // Roll the manifest back to before the third append: the segment
-    // file is durable, its directory entry is not.
+    // Roll the manifest back to before that listing: every segment
+    // file is durable, the manifest naming them is not.
     std::fs::write(root.join(MANIFEST_NAME), &stale_manifest).unwrap();
     let (reopened, report) = EpochDir::open(&root).unwrap();
-    assert_eq!(report.adopted, 1, "{report:?}");
+    assert_eq!(report.adopted, MANIFEST_LAG, "{report:?}");
     assert!(report.quarantined.is_empty());
-    assert_eq!(reopened.len(), 3);
-    assert_eq!(
-        epoch::encode(&reopened.read_epoch(2).unwrap().unwrap()),
-        epoch::encode(&third)
-    );
+    assert_eq!(reopened.len(), MANIFEST_LAG + 1);
+    for e in &tail {
+        assert_eq!(
+            epoch::encode(&reopened.read_epoch(e.id).unwrap().unwrap()),
+            epoch::encode(e),
+            "epoch {}",
+            e.id
+        );
+    }
     drop(reopened);
 
     // Adoption rewrote the manifest: a second reopen finds nothing new.
@@ -161,7 +181,7 @@ fn eviction_spills_epochs_that_reload_bit_identically() {
     assert!(store.take_spill_error().is_none());
     assert_eq!(store.len(), 1, "retention capped to one resident epoch");
 
-    let reader = DirReader::new(&root);
+    let reader = shared.reader();
     let newest = held.len() as u64 - 1;
     for (id, want) in held.iter().enumerate().take(held.len() - 1) {
         let got = reader.read_epoch(id as u64).unwrap().unwrap();
