@@ -2,7 +2,7 @@
 
 use crate::args::{parse_key, parse_memory, parse_threads};
 use crate::Opts;
-use cocosketch::{epoch, snapshot, Epoch, EpochStore, FlowTable};
+use cocosketch::{epoch, snapshot, Epoch, FlowTable};
 use engine::{EngineConfig, ShardedCocoSketch};
 use tasks::stats as table_stats;
 use traffic::{io as trace_io, presets, KeySpec, Trace};
@@ -69,9 +69,11 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
 /// is sealed into an epoch (without pausing ingestion) and written to
 /// `OUT.epochN` *as it seals* — streaming, not buffered to the end of
 /// the run; the trailing partial window seals on finish.
-/// `--keep-epochs N` bounds the in-memory store to the last N sealed
-/// epochs; epoch files (and the `--spill` directory, when given) still
-/// receive every epoch, so eviction bounds RSS without losing history.
+/// `measure` keeps no sealed epoch in memory once it is written;
+/// `--keep-epochs N` bounds the resident service's catalog to the last
+/// N sealed epochs, while epoch files (and the `--spill` directory,
+/// when given) still receive every epoch, so eviction bounds RSS
+/// without losing history.
 /// `--spill DIR` additionally streams each sealed epoch into a durable
 /// [`cocosketch::segment::EpochDir`] (one renamed segment per epoch,
 /// crash-safe; the manifest is checkpointed when sealing ends) and
@@ -230,7 +232,7 @@ fn epoch_file(out: &std::path::Path, id: u64) -> std::path::PathBuf {
 
 /// The `--window` path: one continuously-running session, one sealed
 /// epoch file per window of `window` packets. `keep_epochs > 0` caps
-/// the store to the last N epochs via [`EpochStore::evict_to`].
+/// what stays resident (the service's catalog) to the last N epochs.
 ///
 /// With `serve_addr` set, the wire server is bound and running before
 /// the first packet is ingested, and every sealed epoch is published
@@ -254,8 +256,8 @@ fn measure_windowed(
         compact_bucket,
     } = opts;
     // Open the durable tier first: recovery runs before anything is
-    // appended, and both the store's spill sink and the service's cold
-    // reader hang off the same directory.
+    // appended, and the service's cold reader hangs off the same
+    // directory.
     let spill = match spill_dir {
         Some(dir) => {
             let (shared, report) = cocosketch::SharedEpochDir::open(dir)
@@ -322,21 +324,15 @@ fn measure_windowed(
         None => None,
     };
     let mut session = engine.session();
-    let mut store = EpochStore::new();
-    if let Some(shared) = &spill {
-        // Backstop: should eviction ever race ahead of the eager
-        // appends below, evict_to re-spills instead of dropping.
-        store.attach_spill(Box::new(shared.clone()));
-    }
     let mut total = 0u64;
-    let mut evicted = 0usize;
+    let mut sealed_epochs = 0usize;
     let started = std::time::Instant::now();
     let mut in_window = 0u64;
     // Seal one epoch, streaming: durable segment append first, then
-    // the OUT.epochN file, then publication to the resident service,
-    // then retention capped to --keep-epochs. Ordering matters — by
-    // the time an epoch is visible anywhere, it is already durable.
-    let mut seal = |store: &mut EpochStore, sealed: Epoch| -> Result<(), String> {
+    // the OUT.epochN file, then publication to the resident service.
+    // Ordering matters — by the time an epoch is visible anywhere, it
+    // is already durable.
+    let mut seal = |sealed: Epoch| -> Result<(), String> {
         let sealed = std::sync::Arc::new(sealed);
         if let Some(shared) = &spill {
             shared
@@ -358,12 +354,9 @@ fn measure_windowed(
             path.display()
         );
         if let Some((publisher, _)) = serving.as_mut() {
-            publisher.publish(std::sync::Arc::clone(&sealed));
+            publisher.publish(sealed);
         }
-        store.push_arc(sealed);
-        if keep_epochs > 0 {
-            evicted += store.evict_to(keep_epochs);
-        }
+        sealed_epochs += 1;
         Ok(())
     };
     for p in &trace.packets {
@@ -372,7 +365,7 @@ fn measure_windowed(
         if in_window == window {
             let sealed = session.rotate_collect().to_epoch(full);
             total += sealed.packets;
-            seal(&mut store, sealed)?;
+            seal(sealed)?;
             in_window = 0;
         }
     }
@@ -380,25 +373,27 @@ fn measure_windowed(
     if last.packets > 0 {
         let sealed = last.to_epoch(full);
         total += sealed.packets;
-        seal(&mut store, sealed)?;
+        seal(sealed)?;
     }
     let elapsed = started.elapsed();
     let mpps = total as f64 / elapsed.as_secs_f64() / 1e6;
+    let resident = if keep_epochs > 0 {
+        sealed_epochs.min(keep_epochs)
+    } else {
+        sealed_epochs
+    };
+    let evicted = sealed_epochs - resident;
     println!(
         "measured {total} packets in {elapsed:?} ({mpps:.2} Mpps, {threads} thread{}); \
-         {} epoch{} of <= {window} packets resident{}",
+         {resident} epoch{} of <= {window} packets resident{}",
         if threads == 1 { "" } else { "s" },
-        store.len(),
-        if store.len() == 1 { "" } else { "s" },
+        if resident == 1 { "" } else { "s" },
         if evicted > 0 {
             format!(" ({evicted} older evicted by --keep-epochs {keep_epochs})")
         } else {
             String::new()
         },
     );
-    if let Some(err) = store.take_spill_error() {
-        return Err(format!("spill failed during eviction: {err}"));
-    }
     if let Some(compactor) = compactor {
         let totals = compactor.finish();
         if let Some(err) = &totals.last_error {

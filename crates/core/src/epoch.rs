@@ -136,8 +136,9 @@ pub fn decode(data: &[u8]) -> io::Result<Epoch> {
 /// sink confirms durable leave RAM, so a failing disk degrades to
 /// "history stops aging out" rather than "history is lost".
 ///
-/// [`crate::segment::EpochDir`] and [`crate::segment::SharedEpochDir`]
-/// implement this by streaming the epoch as a CEP1 segment file.
+/// [`crate::segment::SharedEpochDir`] implements this by streaming the
+/// epoch as a CEP1 segment file, and answers `is_durable` from its
+/// published segment list without taking the directory lock.
 pub trait SpillSink {
     /// Make `epoch` durable. Must be idempotent: the store may offer
     /// the same epoch again after a partial failure.
@@ -291,11 +292,6 @@ impl EpochStore {
     /// dropping them. Replaces any previously attached sink.
     pub fn attach_spill(&mut self, sink: Box<dyn SpillSink + Send>) {
         self.spill = Some(sink);
-    }
-
-    /// True when a spill sink is attached.
-    pub fn has_spill(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// The first spill failure since the last call, if any. While an
@@ -671,7 +667,6 @@ mod tests {
         }
         let held: Vec<_> = (0..4).map(|id| store.sealed_arc(id).unwrap()).collect();
         store.attach_spill(Box::<MemorySink>::default());
-        assert!(store.has_spill());
         assert_eq!(store.evict_to(1), 3);
         assert!(store.take_spill_error().is_none());
         assert_eq!(store.oldest_id(), Some(3));

@@ -939,36 +939,28 @@ pub fn merge_epochs(epochs: &[Epoch]) -> io::Result<Epoch> {
     })
 }
 
-impl<V: Vfs> SpillSink for EpochDir<V> {
-    fn spill(&mut self, epoch: &Arc<Epoch>) -> io::Result<()> {
-        self.append(epoch)
-    }
-
-    fn is_durable(&self, id: u64) -> bool {
-        self.covers(id)
-    }
-}
-
 /// A cloneable, thread-safe handle to one [`EpochDir`]: the seal path
 /// appends while a background [`Compactor`] merges, both through the
 /// same directory state.
 ///
 /// # Which steps hold the lock
 ///
-/// `append`, `checkpoint`, `covers`, `ids` and the other accessors run
-/// under the lock, as does each compaction bucket's *plan* (choose the
+/// `append`, `checkpoint`, `ids` and the other accessors run under
+/// the lock, as does each compaction bucket's *plan* (choose the
 /// run) and *commit* (splice, manifest). A bucket's *build* — member
 /// reads, merge, encode, the bucket file's write, fsync and rename —
 /// and the deletion of its inputs run with no guard live, so sealing
 /// never waits on a merge. A `sweeping` flag under the same lock keeps
 /// builds to one at a time.
 ///
-/// Readers ([`reader`](Self::reader)) never take this lock. Each change
-/// to the segment list — an append, a compaction commit — copies the
-/// list under it and, once it is released, copies it into a published
-/// list behind a second lock that is held only to copy a list in or
-/// out. So a cold read never waits out a segment's write and fsync,
-/// and the seal path waits on a reader only while it copies the list.
+/// Readers ([`reader`](Self::reader)) and [`covers`](Self::covers)
+/// never take this lock. Each change to the segment list — an append,
+/// a compaction commit — copies the list under it and, once it is
+/// released, copies it into a published list behind a second lock
+/// that is held only to copy a list in or out. So neither a cold read
+/// nor eviction's durability check waits out a segment's write and
+/// fsync or a commit's manifest write, and the seal path waits on
+/// them only while they copy the list or read its ends.
 /// Copies carry the list's generation and an older one never replaces
 /// a newer one, so two writers publishing out of order cannot roll
 /// readers back. A compaction publishes before it deletes its inputs.
@@ -1079,9 +1071,18 @@ impl<V: Vfs> SharedEpochDir<V> {
         self.lock().is_empty()
     }
 
-    /// [`EpochDir::covers`] under the lock.
+    /// [`EpochDir::covers`], answered from the published list without
+    /// the directory lock, so eviction never waits out a compaction
+    /// commit. The list holds every committed segment: an append
+    /// publishes before it returns, and a compaction publishes before
+    /// it deletes its inputs.
     pub fn covers(&self, id: u64) -> bool {
-        self.lock().covers(id)
+        let published = self.listing.lock().unwrap_or_else(PoisonError::into_inner);
+        let segments = &published.segments;
+        segments
+            .first()
+            .zip(segments.last())
+            .is_some_and(|(lo, hi)| lo.first <= id && id <= hi.last)
     }
 
     /// [`EpochDir::compact`], holding the lock only to plan each
@@ -1874,20 +1875,25 @@ mod tests {
             shared.append(&epoch(id, 10)).unwrap();
         }
         let reader = shared.reader();
+        let evictor = shared.clone();
         // Stand in for an append parked in its segment write, fsync
-        // and rename: hold the directory lock.
+        // and rename, or a compaction commit in its manifest write:
+        // hold the directory lock.
         let held = shared.inner.lock().unwrap();
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
             let ids = reader.ids().unwrap();
             let read = reader.read_epoch(2).unwrap().map(|e| e.id);
-            let _ = done_tx.send((ids, read));
+            // What `EpochStore::evict_to` asks per evicted epoch.
+            let durable = (evictor.covers(2), SpillSink::is_durable(&evictor, 3));
+            let _ = done_tx.send((ids, read, durable));
         });
-        let (ids, read) = done_rx
+        let (ids, read, durable) = done_rx
             .recv_timeout(WATCHDOG)
             .unwrap_or_else(|_| panic!("a reader waited on the directory lock"));
         drop(held);
         assert_eq!((ids, read), (Some((0, 2)), Some(2)));
+        assert_eq!(durable, (true, false));
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -319,27 +319,13 @@ impl Pipeline {
         &self.store
     }
 
-    /// Attach a durable tier to the pipeline's store: from now on,
-    /// [`evict_to`](Pipeline::evict_to) spills epochs to `sink`
-    /// (e.g. a [`cocosketch::SharedEpochDir`]) instead of dropping
-    /// them. See [`cocosketch::SpillSink`].
-    pub fn attach_spill(&mut self, sink: Box<dyn cocosketch::SpillSink + Send>) {
-        self.store.attach_spill(sink);
-    }
-
-    /// Bound resident history to the last `keep` sealed epochs,
-    /// spilling first when a sink is attached; returns how many epochs
-    /// left RAM. Ids keep counting — rotation, adjacency, and seeding
-    /// are unaffected.
+    /// Bound resident history to the last `keep` sealed epochs;
+    /// returns how many epochs left RAM. Ids keep counting — rotation,
+    /// adjacency, and seeding are unaffected. To keep evicted epochs,
+    /// append each sealed epoch to a [`cocosketch::SharedEpochDir`]
+    /// before evicting it.
     pub fn evict_to(&mut self, keep: usize) -> usize {
         self.store.evict_to(keep)
-    }
-
-    /// The first spill failure since the last call, if any (epochs that
-    /// failed to spill are still resident — see
-    /// [`cocosketch::EpochStore::take_spill_error`]).
-    pub fn take_spill_error(&mut self) -> Option<std::io::Error> {
-        self.store.take_spill_error()
     }
 
     /// Estimates recovered from a **sealed** epoch, in spec order —
@@ -596,9 +582,10 @@ mod tests {
 
     #[test]
     fn evicted_epochs_reload_from_spill_dir_bit_identical() {
-        // Rotate several windows with a keep-1 store spilling to an
-        // epoch directory; every evicted epoch must reload from disk
-        // bit-identical to the Arc held before eviction.
+        // Rotate several windows, appending each sealed epoch to an
+        // epoch directory before a keep-1 eviction; every epoch must
+        // reload from disk bit-identical to the Arc held before
+        // eviction.
         let t = trace();
         let root = std::env::temp_dir().join(format!("tasks-spill-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
@@ -610,23 +597,19 @@ mod tests {
             64 * 1024,
             41,
         );
-        pipe.attach_spill(Box::new(shared.clone()));
         let mut held = Vec::new();
         for _ in 0..4 {
             pipe.run(&t);
             let id = pipe.rotate();
-            held.push(pipe.store().sealed_arc(id).unwrap());
+            let sealed = pipe.store().sealed_arc(id).unwrap();
+            shared.append(&sealed).unwrap();
+            held.push(sealed);
             pipe.evict_to(1);
-            assert!(pipe.take_spill_error().is_none());
         }
         assert_eq!(pipe.store().len(), 1, "RAM bounded to the last epoch");
         let reader = shared.reader();
         for epoch in &held {
-            let from_disk = reader.read_epoch(epoch.id).unwrap().unwrap_or_else(|| {
-                // The newest epoch is still resident, not yet durable.
-                assert_eq!(epoch.id, 3);
-                (**epoch).clone()
-            });
+            let from_disk = reader.read_epoch(epoch.id).unwrap().expect("appended");
             assert_eq!(
                 cocosketch::epoch::encode(&from_disk),
                 cocosketch::epoch::encode(epoch),

@@ -48,8 +48,8 @@
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::lexer::{TokKind, Token};
-use crate::rules::Finding;
+use crate::lexer::{group_start, ident, is_punct, next_code, prev_code, TokKind, Token};
+use crate::rules::{in_spans, Finding};
 use std::collections::HashMap;
 
 /// Atomic method names that take `Ordering` arguments.
@@ -164,37 +164,6 @@ struct Decl {
     field: String,
 }
 
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
-}
-
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
 /// Walk back from the `.` before a method name to the receiver chain's
 /// last plain identifier: `self.sides[idx].readers.fetch_add` →
 /// `readers`, `self.head.0.load` → `head` (tuple projections and index
@@ -213,19 +182,7 @@ fn receiver_name(toks: &[Token], dot: usize) -> Option<String> {
                 j = prev_code(toks, d)?;
             }
             // `xs[i].load(...)`: skip the bracket group.
-            TokKind::Punct(']') => {
-                let mut depth = 1usize;
-                let mut i2 = j;
-                while depth > 0 && i2 > 0 {
-                    i2 -= 1;
-                    match toks[i2].kind {
-                        TokKind::Punct(']') => depth += 1,
-                        TokKind::Punct('[') => depth -= 1,
-                        _ => {}
-                    }
-                }
-                j = prev_code(toks, i2)?;
-            }
+            TokKind::Punct(']') => j = prev_code(toks, group_start(toks, j))?,
             _ => return None,
         }
     }

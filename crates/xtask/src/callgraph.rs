@@ -2,9 +2,18 @@
 //!
 //! cocolint v2's interprocedural rules (transitive panic-reachability,
 //! hot-path allocation freedom) need to know *who calls whom* across
-//! crate boundaries. This module builds that graph from the same
-//! [`crate::lexer`] token streams the per-file rules use: no `syn`, no
-//! `rustc` — the offline build takes no dependencies.
+//! crate boundaries. This module builds that graph from
+//! [`crate::lexer`] token streams: no `syn`, no `rustc` — the offline
+//! build takes no dependencies. Each `src/` file is read and tokenized
+//! once, here; the per-file rules run on the same [`ParsedFile`]
+//! tokens.
+//!
+//! Every rule that follows calls is one [`CallGraph::walk`] — roots
+//! plus a per-edge predicate — and renders its findings' call chains
+//! with [`Walk::chain`]. Every `lint.toml` list of fn names
+//! (`[hot] extra`, `[taint] sources`, `[durability] funnels`) matches
+//! with [`suffix_matches`] through [`CallGraph::named`], which also
+//! rejects an entry that names no fn.
 //!
 //! ## What is extracted
 //!
@@ -56,10 +65,11 @@
 //! unresolved sites — the hot-path rule treats an unresolved
 //! `.push(...)`/`.collect(...)` as a std allocation.
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{ident, is_punct, next_code, prev_code, TokKind, Token};
+use crate::rules::in_spans;
 use crate::workspace::CrateInfo;
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One extracted function item.
 #[derive(Debug)]
@@ -183,49 +193,141 @@ pub fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
-}
-
-/// Build the graph over the `src/` trees of `crates`, reading files
-/// relative to `root`. `read` indirection lets fixture tests feed
-/// in-memory sources.
-pub fn build(root: &Path, crates: &[CrateInfo]) -> Result<CallGraph, String> {
+/// Build the graph over each crate's `src/` files (`src_files[i]`
+/// belongs to `crates[i]`, paths relative to `root`): every file is
+/// read and tokenized here, once, and the per-file rules reuse its
+/// [`ParsedFile`] tokens.
+pub fn build(
+    root: &Path,
+    crates: &[CrateInfo],
+    src_files: &[Vec<PathBuf>],
+) -> Result<CallGraph, String> {
     let mut graph = CallGraph::default();
-    for krate in crates {
-        let (src_files, _) = crate::workspace::rust_files(root, krate);
-        for rel in src_files {
-            let text = std::fs::read_to_string(root.join(&rel))
-                .map_err(|e| format!("cannot read {}: {e}", rel.display()))?;
-            let path = rel.to_string_lossy().replace('\\', "/");
-            parse_file(&mut graph, &krate.name, &path, &text);
+    for (krate, files) in crates.iter().zip(src_files) {
+        for rel in files {
+            let text = crate::workspace::read_source(root, rel)?;
+            parse_file(
+                &mut graph,
+                &krate.name,
+                &crate::workspace::display_path(rel),
+                &text,
+            );
         }
     }
     resolve(&mut graph, crates);
     Ok(graph)
+}
+
+/// Suffix match on a `::` segment boundary, or the whole qualified
+/// name: `"EpochDir::append"` and `"cocosketch::segment::EpochDir::append"`
+/// both match `cocosketch::segment::EpochDir::append`, but
+/// `"Dir::append"` does not, nor does anything match `...::reappend`.
+/// The one rule for every `lint.toml` list of fn names (`[hot] extra`,
+/// `[taint] sources`, `[durability] funnels`).
+pub fn suffix_matches(qualified: &str, suffix: &str) -> bool {
+    qualified == suffix
+        || (qualified.ends_with(suffix)
+            && qualified[..qualified.len() - suffix.len()].ends_with("::"))
+}
+
+/// What [`CallGraph::walk`] visited, and how it first got there.
+#[derive(Debug)]
+pub struct Walk {
+    /// `parent[f]`: the fn whose call first reached `f`; `None` for
+    /// the roots and for fns the walk never reached.
+    parent: Vec<Option<usize>>,
+    /// Every visited fn in visit order, roots first.
+    pub order: Vec<usize>,
+    seen: Vec<bool>,
+}
+
+impl Walk {
+    /// True when the walk visited fn `f`, as a root or through an edge.
+    pub fn reached(&self, f: usize) -> bool {
+        self.seen[f]
+    }
+
+    /// The path that first reached `f`, rendered `root -> mid -> f`.
+    pub fn chain(&self, graph: &CallGraph, f: usize) -> String {
+        let mut hops = vec![f];
+        let mut at = f;
+        while let Some(up) = self.parent[at] {
+            hops.push(up);
+            at = up;
+        }
+        hops.reverse();
+        hops.iter()
+            .map(|&h| graph.fns[h].qualified.as_str())
+            .collect::<Vec<_>>()
+            .join(" -> ")
+    }
+}
+
+impl CallGraph {
+    /// Breadth-first walk over resolved call edges from `roots`. The
+    /// edge `(caller, call, callee)` is taken when the callee is not
+    /// visited yet and `follow` allows it; `#[cfg(test)]` fns are never
+    /// visited, as roots or as callees. Every interprocedural rule is
+    /// this walk with its own roots and edge predicate.
+    pub fn walk(
+        &self,
+        roots: impl IntoIterator<Item = usize>,
+        mut follow: impl FnMut(usize, &CallSite, usize) -> bool,
+    ) -> Walk {
+        let n = self.fns.len();
+        let mut walk = Walk {
+            parent: vec![None; n],
+            order: Vec::new(),
+            seen: vec![false; n],
+        };
+        for root in roots {
+            if !walk.seen[root] && !self.fns[root].in_test {
+                walk.seen[root] = true;
+                walk.order.push(root);
+            }
+        }
+        // `order` doubles as the FIFO queue: `next` is its head.
+        let mut next = 0;
+        while let Some(&at) = walk.order.get(next) {
+            next += 1;
+            for &ci in &self.edges[at] {
+                let call = &self.calls[ci];
+                for &callee in &call.resolved {
+                    if walk.seen[callee] || self.fns[callee].in_test || !follow(at, call, callee) {
+                        continue;
+                    }
+                    walk.seen[callee] = true;
+                    walk.parent[callee] = Some(at);
+                    walk.order.push(callee);
+                }
+            }
+        }
+        walk
+    }
+
+    /// The fns a `lint.toml` list of qualified-name suffixes names
+    /// (see [`suffix_matches`]), as a mask over [`Self::fns`]. `Err`
+    /// names the first entry that matches no fn: the fn was renamed or
+    /// removed and the policy silently stopped applying. `key` says
+    /// where the list lives, e.g. `[taint] sources`.
+    pub fn named(&self, key: &str, suffixes: &[String]) -> Result<Vec<bool>, String> {
+        let mut named = vec![false; self.fns.len()];
+        for suffix in suffixes {
+            let mut hit = false;
+            for (idx, f) in self.fns.iter().enumerate() {
+                if suffix_matches(&f.qualified, suffix) {
+                    named[idx] = true;
+                    hit = true;
+                }
+            }
+            if !hit {
+                return Err(format!(
+                    "lint.toml {key} entry `{suffix}` matches no workspace fn — remove or fix it"
+                ));
+            }
+        }
+        Ok(named)
+    }
 }
 
 /// How far above a `fn` keyword a `// LINT: hot` marker may sit
@@ -411,7 +513,7 @@ pub fn parse_file(graph: &mut CallGraph, crate_name: &str, path: &str, text: &st
                     Some(Ctx::Type(t, true)) if !t.is_empty() => Some(t.clone()),
                     _ => None,
                 };
-                let in_test = test_spans.iter().any(|&(a, b)| line >= a && line <= b);
+                let in_test = in_spans(&test_spans, line);
                 let body = match find_body_open(&toks, ni + 1) {
                     Some(open) if is_punct(&toks[open], '{') => {
                         (open, matching_brace(&toks, open) + 1)
@@ -1051,6 +1153,53 @@ mod tests {
             .collect();
         // Both the trait decl and the concrete impl stay reachable.
         assert!(targets.contains(&"demo::A::x"), "targets: {targets:?}");
+    }
+
+    #[test]
+    fn suffix_matches_whole_segments_or_the_whole_name() {
+        let q = "cocosketch::segment::EpochDir::append";
+        assert!(suffix_matches(q, "EpochDir::append"));
+        assert!(suffix_matches(q, "append"));
+        assert!(suffix_matches(q, q));
+        assert!(!suffix_matches(q, "Dir::append"));
+        assert!(!suffix_matches(
+            "cocosketch::segment::EpochDir::reappend",
+            "append"
+        ));
+        assert!(!suffix_matches(q, "other::EpochDir::append"));
+    }
+
+    #[test]
+    fn walk_is_breadth_first_follows_only_allowed_edges_and_skips_tests() {
+        let mut g = CallGraph::default();
+        parse_file(
+            &mut g,
+            "demo",
+            "crates/demo/src/lib.rs",
+            "pub fn root() { deep(); near(); blocked(); }\n\
+             fn near() { deep(); }\n\
+             fn deep() { leaf(); probe(); }\n\
+             fn leaf() {}\n\
+             fn blocked() {}\n\
+             #[cfg(test)]\n\
+             fn probe() {}\n",
+        );
+        let crates = vec![crate::workspace::CrateInfo {
+            name: "demo".into(),
+            dir: std::path::PathBuf::from("crates/demo"),
+            deps: Vec::new(),
+        }];
+        resolve(&mut g, &crates);
+        let idx = |name: &str| g.fns.iter().position(|f| f.name == name).unwrap();
+        let walk = g.walk([idx("root")], |_, call, _| call.name != "blocked");
+        let order: Vec<&str> = walk.order.iter().map(|&f| g.fns[f].name.as_str()).collect();
+        assert_eq!(order, vec!["root", "deep", "near", "leaf"]);
+        assert!(!walk.reached(idx("blocked")));
+        assert!(!walk.reached(idx("probe")), "test fns are never visited");
+        assert_eq!(
+            walk.chain(&g, idx("leaf")),
+            "demo::root -> demo::deep -> demo::leaf"
+        );
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //!   reason states why the value is in range — the inline analogue of
 //!   a `[[allow]]` entry.
 
-use crate::callgraph::CallGraph;
-use crate::lexer::{TokKind, Token};
-use crate::rules::Finding;
-use std::collections::VecDeque;
+use crate::callgraph::{suffix_matches, CallGraph, FnItem};
+use crate::lexer::{group_start, ident, is_punct, next_code, prev_code, TokKind, Token};
+use crate::rules::{in_spans, Finding, PANIC_MACROS, PANIC_METHODS};
 
 /// Configuration slice the dataflow rules need (assembled by
 /// [`crate::run_lint`] from `lint.toml`).
@@ -41,40 +40,10 @@ pub struct DataflowConfig {
     /// Identifier names treated as counter accumulators by the
     /// overflow rule (field or variable names).
     pub counters: Vec<String>,
-    /// Qualified-path suffixes treated as hot entry points in addition
-    /// to inline `// LINT: hot` markers (e.g. `"Ring::push"`).
+    /// Qualified-path suffixes (or whole qualified names, see
+    /// [`suffix_matches`]) treated as hot entry points in addition to
+    /// inline `// LINT: hot` markers (e.g. `"Ring::push"`).
     pub hot_extra: Vec<String>,
-}
-
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
-}
-
-fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
 // ---------------------------------------------------------------------
@@ -89,9 +58,6 @@ pub struct PanicSource {
     /// What panics there, e.g. "`.unwrap()`" or "slice indexing".
     pub what: String,
 }
-
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Direct panic sites in `toks[range]`, honouring the file's
 /// `LINT: bounded` annotations.
@@ -298,41 +264,22 @@ pub fn transitive_panic(
         sources.push(srcs);
     }
 
-    // Multi-source BFS from the data-plane pub fns over forward edges;
-    // `parent[f]` records (caller fn, call line) on a shortest path.
-    let sink = |f: &crate::callgraph::FnItem| {
-        f.is_pub && !f.in_test && cfg.data_plane.contains(&f.crate_name)
-    };
-    let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-    let mut queue = VecDeque::new();
-    for (idx, f) in graph.fns.iter().enumerate() {
-        if sink(f) {
-            seen[idx] = true;
-            queue.push_back(idx);
-        }
-    }
-    while let Some(at) = queue.pop_front() {
-        for &ci in &graph.edges[at] {
-            let call = &graph.calls[ci];
-            for &callee in &call.resolved {
-                if !seen[callee] && !graph.fns[callee].in_test {
-                    seen[callee] = true;
-                    parent[callee] = Some((at, call.line));
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
+    // Walk every edge from the data-plane pub fns; each reached fn's
+    // chain is a shortest path from one of them.
+    let entries = (0..graph.fns.len()).filter(|&idx| {
+        let f = &graph.fns[idx];
+        f.is_pub && cfg.data_plane.contains(&f.crate_name)
+    });
+    let walk = graph.walk(entries, |_, _, _| true);
 
     let mut findings = Vec::new();
     for (idx, srcs) in sources.iter().enumerate() {
-        if srcs.is_empty() || !seen[idx] {
+        if srcs.is_empty() || !walk.reached(idx) {
             continue;
         }
         let f = &graph.fns[idx];
         let file = &graph.files[f.file];
-        let chain = render_chain(graph, &parent, idx);
+        let chain = walk.chain(graph, idx);
         for s in srcs {
             if per_file_covered(&file.path, s.line) {
                 continue;
@@ -352,22 +299,6 @@ pub fn transitive_panic(
         }
     }
     findings
-}
-
-/// Render the BFS path from a data-plane entry down to `idx` as
-/// `entry -> mid -> leaf`.
-fn render_chain(graph: &CallGraph, parent: &[Option<(usize, u32)>], idx: usize) -> String {
-    let mut hops = vec![idx];
-    let mut at = idx;
-    while let Some((up, _)) = parent[at] {
-        hops.push(up);
-        at = up;
-    }
-    hops.reverse();
-    hops.iter()
-        .map(|&h| graph.fns[h].qualified.as_str())
-        .collect::<Vec<_>>()
-        .join(" -> ")
 }
 
 // ---------------------------------------------------------------------
@@ -408,17 +339,7 @@ pub fn overflow(graph: &CallGraph, cfg: &DataflowConfig) -> Vec<Finding> {
                     // bracket groups to the container name.
                     let mut j = p;
                     loop {
-                        let mut depth = 1usize;
-                        let mut i2 = j;
-                        while depth > 0 && i2 > 0 {
-                            i2 -= 1;
-                            match toks[i2].kind {
-                                TokKind::Punct(']') => depth += 1,
-                                TokKind::Punct('[') => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                        let Some(q) = prev_code(toks, i2) else {
+                        let Some(q) = prev_code(toks, group_start(toks, j)) else {
                             break None;
                         };
                         match &toks[q].kind {
@@ -489,52 +410,27 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// Run the hot-path allocation-freedom rule.
 pub fn hot_alloc(graph: &CallGraph, cfg: &DataflowConfig) -> Vec<Finding> {
-    // Hot roots: inline markers plus config-named suffixes.
-    let hot = |idx: usize| {
+    // Hot roots: inline markers plus config-named fns. Calls made
+    // inside a cold span are not followed.
+    let in_cold = |f: &FnItem, line: u32| in_spans(&graph.files[f.file].cold_spans, line);
+    let roots = (0..graph.fns.len()).filter(|&idx| {
         let f = &graph.fns[idx];
         f.is_hot
-            || cfg.hot_extra.iter().any(|suffix| {
-                f.qualified.ends_with(suffix)
-                    && f.qualified[..f.qualified.len() - suffix.len()].ends_with("::")
-            })
-    };
-    let in_cold =
-        |f: &crate::callgraph::FnItem, line: u32| in_spans(&graph.files[f.file].cold_spans, line);
-
-    // BFS from hot roots; edges leaving a cold span are not followed.
-    let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-    let mut queue = VecDeque::new();
-    for (idx, slot) in seen.iter_mut().enumerate() {
-        if hot(idx) && !graph.fns[idx].in_test {
-            *slot = true;
-            queue.push_back(idx);
-        }
-    }
-    while let Some(at) = queue.pop_front() {
-        for &ci in &graph.edges[at] {
-            let call = &graph.calls[ci];
-            if in_cold(&graph.fns[at], call.line) {
-                continue;
-            }
-            for &callee in &call.resolved {
-                if !seen[callee] && !graph.fns[callee].in_test {
-                    seen[callee] = true;
-                    parent[callee] = Some((at, call.line));
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
+            || cfg
+                .hot_extra
+                .iter()
+                .any(|s| suffix_matches(&f.qualified, s))
+    });
+    let walk = graph.walk(roots, |at, call, _| !in_cold(&graph.fns[at], call.line));
 
     let mut findings = Vec::new();
-    for (idx, reachable) in seen.iter().enumerate() {
-        if !reachable {
+    for idx in 0..graph.fns.len() {
+        if !walk.reached(idx) {
             continue;
         }
         let f = &graph.fns[idx];
         let file = &graph.files[f.file];
-        let chain = render_chain(graph, &parent, idx);
+        let chain = walk.chain(graph, idx);
         let mut report = |line: u32, what: &str| {
             if in_cold(f, line) || in_spans(&file.test_spans, line) {
                 return;

@@ -25,9 +25,8 @@
 //! sources`: a renamed funnel must not silently disable the policy.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{TokKind, Token};
-use crate::rules::Finding;
-use std::collections::VecDeque;
+use crate::lexer::{group_start, ident, is_punct, next_code, prev_code, TokKind, Token};
+use crate::rules::{in_spans, Finding};
 
 /// Configuration slice for the durability pass (from `lint.toml`
 /// `[durability]`).
@@ -65,61 +64,6 @@ const IO_RESULT_CALLS: &[&str] = &[
 /// ambiguous for name-based matching; the durable tier uses `Mutex`.
 const LOCK_CALLS: &[&str] = &["lock", "try_lock"];
 
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
-}
-
-fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
-/// Suffix match with a `::` segment boundary (same rule as `[taint]
-/// sources`): `"EpochDir::append"` matches
-/// `cocosketch::segment::EpochDir::append` but not `::reappend`.
-fn suffix_matches(qualified: &str, suffix: &str) -> bool {
-    qualified == suffix
-        || (qualified.ends_with(suffix)
-            && qualified[..qualified.len() - suffix.len()].ends_with("::"))
-}
-
-/// Render a BFS path (parent pointers per fn index) as `a::b -> c::d`.
-fn render_chain(graph: &CallGraph, parent: &[Option<(usize, u32)>], idx: usize) -> String {
-    let mut hops = vec![idx];
-    let mut at = idx;
-    while let Some((up, _)) = parent[at] {
-        hops.push(up);
-        at = up;
-    }
-    hops.reverse();
-    hops.iter()
-        .map(|&h| graph.fns[h].qualified.as_str())
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
 /// Run the durability pass. `Err` is configuration rot: a `[durability]
 /// funnels` suffix naming no workspace fn means a funnel was renamed
 /// and the reachability fence silently moved.
@@ -127,22 +71,7 @@ pub fn check(graph: &CallGraph, cfg: &DurabilityConfig) -> Result<Vec<Finding>, 
     if cfg.crates.is_empty() {
         return Ok(Vec::new());
     }
-    let mut funnel: Vec<bool> = vec![false; graph.fns.len()];
-    for suffix in &cfg.funnels {
-        let mut hit = false;
-        for (idx, f) in graph.fns.iter().enumerate() {
-            if suffix_matches(&f.qualified, suffix) {
-                funnel[idx] = true;
-                hit = true;
-            }
-        }
-        if !hit {
-            return Err(format!(
-                "lint.toml [durability] funnels entry `{suffix}` matches no workspace fn — \
-                 remove or fix it"
-            ));
-        }
-    }
+    let funnel = graph.named("[durability] funnels", &cfg.funnels)?;
 
     let mut findings = Vec::new();
     findings.extend(funnel_rule(graph, cfg, &funnel));
@@ -152,44 +81,37 @@ pub fn check(graph: &CallGraph, cfg: &DurabilityConfig) -> Result<Vec<Finding>, 
     Ok(findings)
 }
 
+/// The durability crates' `pub fn`s: where the funnel and sync rules'
+/// walks start.
+fn pub_fns<'g>(
+    graph: &'g CallGraph,
+    cfg: &'g DurabilityConfig,
+) -> impl Iterator<Item = usize> + 'g {
+    (0..graph.fns.len()).filter(|&idx| {
+        let f = &graph.fns[idx];
+        f.is_pub && cfg.crates.contains(&f.crate_name)
+    })
+}
+
 // ---------------------------------------------------------------------
 // durability-funnel
 // ---------------------------------------------------------------------
 
-/// BFS from every non-funnel `pub fn` of the durability crates;
-/// funnels are absorbing (never expanded, bodies exempt). Any visited
+/// Walk from every non-funnel `pub fn` of the durability crates;
+/// funnels are absorbing (never entered, bodies exempt). Any visited
 /// fn containing a [`MUTATION_CALLS`] call site is a commit path that
 /// bypasses the audited funnels.
 fn funnel_rule(graph: &CallGraph, cfg: &DurabilityConfig, funnel: &[bool]) -> Vec<Finding> {
-    let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-    let mut queue = VecDeque::new();
-    for (idx, f) in graph.fns.iter().enumerate() {
-        if f.is_pub && !f.in_test && !funnel[idx] && cfg.crates.contains(&f.crate_name) {
-            seen[idx] = true;
-            queue.push_back(idx);
-        }
-    }
-    while let Some(at) = queue.pop_front() {
-        for &ci in &graph.edges[at] {
-            let call = &graph.calls[ci];
-            for &callee in &call.resolved {
-                if !seen[callee] && !funnel[callee] && !graph.fns[callee].in_test {
-                    seen[callee] = true;
-                    parent[callee] = Some((at, call.line));
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
+    let entries = pub_fns(graph, cfg).filter(|&idx| !funnel[idx]);
+    let walk = graph.walk(entries, |_, _, callee| !funnel[callee]);
 
     let mut findings = Vec::new();
     for (idx, f) in graph.fns.iter().enumerate() {
-        if !seen[idx] {
+        if !walk.reached(idx) {
             continue;
         }
         let file = &graph.files[f.file];
-        let chain = render_chain(graph, &parent, idx);
+        let chain = walk.chain(graph, idx);
         for &ci in &graph.edges[idx] {
             let call = &graph.calls[ci];
             if !MUTATION_CALLS.contains(&call.name.as_str())
@@ -230,30 +152,10 @@ struct Handle {
 /// before any `rename(...)` in the fn — otherwise the rename can
 /// publish a name whose bytes never reached the platter.
 fn sync_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
-    // Parent chains for the report: plain reachability from the
-    // durability crates' pub fns, funnels *not* absorbing, so a broken
-    // funnel body shows the entry path that trusts it.
-    let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-    let mut queue = VecDeque::new();
-    for (idx, f) in graph.fns.iter().enumerate() {
-        if f.is_pub && !f.in_test && cfg.crates.contains(&f.crate_name) {
-            seen[idx] = true;
-            queue.push_back(idx);
-        }
-    }
-    while let Some(at) = queue.pop_front() {
-        for &ci in &graph.edges[at] {
-            let call = &graph.calls[ci];
-            for &callee in &call.resolved {
-                if !seen[callee] && !graph.fns[callee].in_test {
-                    seen[callee] = true;
-                    parent[callee] = Some((at, call.line));
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
+    // Chains for the report: plain reachability from the durability
+    // crates' pub fns, funnels *not* absorbing, so a broken funnel body
+    // shows the entry path that trusts it.
+    let walk = graph.walk(pub_fns(graph, cfg), |_, _, _| true);
 
     let mut findings = Vec::new();
     for (idx, f) in graph.fns.iter().enumerate() {
@@ -287,32 +189,7 @@ fn sync_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
                         k += 1;
                         continue;
                     };
-                    // Scan the initializer (to the statement `;`) for
-                    // a `create(` call.
-                    let mut m = j + 1;
-                    let mut depth = 0i32;
-                    let mut creates = false;
-                    while m < end {
-                        match &toks[m].kind {
-                            TokKind::Punct('(') | TokKind::Punct('{') | TokKind::Punct('[') => {
-                                depth += 1
-                            }
-                            TokKind::Punct(')') | TokKind::Punct('}') | TokKind::Punct(']') => {
-                                depth -= 1
-                            }
-                            TokKind::Punct(';') if depth <= 0 => break,
-                            TokKind::Ident(s)
-                                if s == "create"
-                                    && next_code(toks, m + 1)
-                                        .is_some_and(|p| is_punct(&toks[p], '(')) =>
-                            {
-                                creates = true;
-                            }
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    if creates {
+                    if statement_call(toks, j + 1, end, |s| s == "create").is_some() {
                         handles.push(Handle {
                             name: name.to_string(),
                             dirty: false,
@@ -353,7 +230,7 @@ fn sync_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
                                      before renaming",
                                     f.qualified, h.name
                                 ),
-                                chain: seen[idx].then(|| render_chain(graph, &parent, idx)),
+                                chain: walk.reached(idx).then(|| walk.chain(graph, idx)),
                             });
                             // One report per broken pairing, not per
                             // subsequent rename.
@@ -367,6 +244,31 @@ fn sync_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// The first call `name(...)` whose `name` satisfies `wanted` in the
+/// statement from `from` to its `;` at bracket depth 0 (or to `end`).
+fn statement_call(
+    toks: &[Token],
+    from: usize,
+    end: usize,
+    wanted: impl Fn(&str) -> bool,
+) -> Option<&str> {
+    let mut depth = 0i32;
+    for m in from..end {
+        match &toks[m].kind {
+            TokKind::Punct('(' | '{' | '[') => depth += 1,
+            TokKind::Punct(')' | '}' | ']') => depth -= 1,
+            TokKind::Punct(';') if depth <= 0 => return None,
+            TokKind::Ident(s)
+                if wanted(s) && next_code(toks, m + 1).is_some_and(|p| is_punct(&toks[p], '(')) =>
+            {
+                return Some(s);
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -447,17 +349,7 @@ fn drop_rules(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
                     if !is_punct(&toks[p], ')') {
                         continue;
                     }
-                    let mut depth = 1i32;
-                    let mut o = p;
-                    while o > 0 && depth > 0 {
-                        o -= 1;
-                        match &toks[o].kind {
-                            TokKind::Punct(')') => depth += 1,
-                            TokKind::Punct('(') => depth -= 1,
-                            _ => {}
-                        }
-                    }
-                    let Some(callee) = prev_code(toks, o) else {
+                    let Some(callee) = prev_code(toks, group_start(toks, p)) else {
                         continue;
                     };
                     if let Some(name) = ident(&toks[callee]) {
@@ -480,28 +372,9 @@ fn drop_rules(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
                     if !is_punct(&toks[eq], '=') {
                         continue;
                     }
-                    let mut m = eq + 1;
-                    let mut depth = 0i32;
-                    while m < toks.len() {
-                        match &toks[m].kind {
-                            TokKind::Punct('(') | TokKind::Punct('{') | TokKind::Punct('[') => {
-                                depth += 1
-                            }
-                            TokKind::Punct(')') | TokKind::Punct('}') | TokKind::Punct(']') => {
-                                depth -= 1
-                            }
-                            TokKind::Punct(';') if depth <= 0 => break,
-                            TokKind::Ident(s)
-                                if IO_RESULT_CALLS.contains(&s.as_str())
-                                    && next_code(toks, m + 1)
-                                        .is_some_and(|p| is_punct(&toks[p], '(')) =>
-                            {
-                                drop_site(tok.line, s, &mut findings);
-                                break;
-                            }
-                            _ => {}
-                        }
-                        m += 1;
+                    let io_call = |s: &str| IO_RESULT_CALLS.contains(&s);
+                    if let Some(name) = statement_call(toks, eq + 1, toks.len(), io_call) {
+                        drop_site(tok.line, name, &mut findings);
                     }
                 }
                 _ => {}
@@ -559,41 +432,16 @@ fn lock_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
 
     let mut findings = Vec::new();
     for (root, f) in graph.fns.iter().enumerate() {
-        if f.in_test || acq[root].is_none() || !cfg.crates.contains(&f.crate_name) {
+        let Some(held) = acq[root] else { continue };
+        if !cfg.crates.contains(&f.crate_name) {
             continue;
         }
-        let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-        let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-        seen[root] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
-        while let Some(at) = queue.pop_front() {
+        let walk = graph.walk([root], |at, call, _| {
             // A reached fn that itself acquires is reported and not
             // expanded: code beyond it runs under *its* lock and is
             // analyzed with it as the root.
-            if at != root && acq[at].is_some() {
-                let g = &graph.fns[at];
-                findings.push(Finding {
-                    file: graph.files[g.file].path.clone(),
-                    line: acq[at].unwrap(),
-                    rule: "durability-lock",
-                    message: format!(
-                        "`{}` acquires a lock while `{}` (line {}) already holds one — \
-                         nested Mutex acquisition deadlocks under contention; release \
-                         the first guard before calling down",
-                        g.qualified,
-                        f.qualified,
-                        acq[root].unwrap()
-                    ),
-                    chain: Some(render_chain(graph, &parent, at)),
-                });
-                continue;
-            }
-            for &ci in &graph.edges[at] {
-                let call = &graph.calls[ci];
-                if LOCK_CALLS.contains(&call.name.as_str()) {
-                    continue;
-                }
+            (at == root || acq[at].is_none())
+                && !LOCK_CALLS.contains(&call.name.as_str())
                 // Follow only precisely-resolved edges: bare-`self`
                 // methods and free/path calls. Broad method resolution
                 // (any same-named in-impl fn) is fine for rare sinks
@@ -601,18 +449,23 @@ fn lock_rule(graph: &CallGraph, cfg: &DurabilityConfig) -> Vec<Finding> {
                 // ubiquitous accessor names (`len`, `covers`), and
                 // `guard.len()` must not become an edge into every
                 // type with a `len`.
-                if call.is_method && !call.self_recv {
-                    continue;
-                }
-                for &callee in &call.resolved {
-                    if callee == at || seen[callee] || graph.fns[callee].in_test {
-                        continue;
-                    }
-                    seen[callee] = true;
-                    parent[callee] = Some((at, call.line));
-                    queue.push_back(callee);
-                }
-            }
+                && (!call.is_method || call.self_recv)
+        });
+        for &at in &walk.order[1..] {
+            let Some(line) = acq[at] else { continue };
+            let g = &graph.fns[at];
+            findings.push(Finding {
+                file: graph.files[g.file].path.clone(),
+                line,
+                rule: "durability-lock",
+                message: format!(
+                    "`{}` acquires a lock while `{}` (line {held}) already holds one — \
+                     nested Mutex acquisition deadlocks under contention; release \
+                     the first guard before calling down",
+                    g.qualified, f.qualified,
+                ),
+                chain: Some(walk.chain(graph, at)),
+            });
         }
     }
     findings

@@ -36,6 +36,58 @@ pub struct Token {
     pub line: u32,
 }
 
+/// The identifier or keyword `tok` spells, if it is one.
+pub fn ident(tok: &Token) -> Option<&str> {
+    match &tok.kind {
+        TokKind::Ident(s) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// True when `tok` is the punctuation character `c`.
+pub fn is_punct(tok: &Token, c: char) -> bool {
+    tok.kind == TokKind::Punct(c)
+}
+
+/// Index of the first token at or after `i` that is not a comment.
+pub fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
+    while i < toks.len() {
+        if !matches!(toks[i].kind, TokKind::Comment(_)) {
+            return Some(i);
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Index of the last token before `i` that is not a comment.
+pub fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
+    (0..i)
+        .rev()
+        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
+}
+
+/// Index of the `(` or `[` that opens the group whose `)` or `]` is at
+/// `close`, found by walking back (0 when the group never opens).
+pub fn group_start(toks: &[Token], close: usize) -> usize {
+    let (open, shut) = if is_punct(&toks[close], ')') {
+        ('(', ')')
+    } else {
+        ('[', ']')
+    };
+    let mut depth = 1usize;
+    let mut i = close;
+    while depth > 0 && i > 0 {
+        i -= 1;
+        if is_punct(&toks[i], shut) {
+            depth += 1;
+        } else if is_punct(&toks[i], open) {
+            depth -= 1;
+        }
+    }
+    i
+}
+
 /// Tokenize `src`. Unterminated constructs consume to end of input
 /// rather than erroring: the lint runs on code rustc already accepted,
 /// so graceful degradation beats failure.

@@ -39,9 +39,12 @@ use std::time::{Duration, Instant};
 /// keeping `scripts/verify.sh`'s lint budget honest.
 #[derive(Debug, Default)]
 pub struct PassTimings {
-    /// Per-file token rules (safety comments, tier rules, crate attrs).
+    /// Per-file token rules (safety comments, tier rules, crate attrs),
+    /// including reading and tokenizing the `tests/`, `benches/` and
+    /// `examples/` files.
     pub per_file: Duration,
-    /// Call-graph construction.
+    /// Call-graph construction, including reading and tokenizing every
+    /// `src/` file (the per-file rules reuse those tokens).
     pub callgraph: Duration,
     /// Interprocedural dataflow (panic/overflow/hot-alloc/markers).
     pub dataflow: Duration,
@@ -113,6 +116,17 @@ pub fn run_lint_with_timings(root: &Path) -> Result<(Vec<Finding>, PassTimings),
     }
 
     let mut timings = PassTimings::default();
+    // The call graph comes first: it reads and tokenizes every `src/`
+    // file, once, and the per-file rules below run on its tokens.
+    let t0 = Instant::now();
+    let (src_files, other_files): (Vec<_>, Vec<_>) = crates
+        .iter()
+        .map(|krate| workspace::rust_files(root, krate))
+        .unzip();
+    let graph = callgraph::build(root, &crates, &src_files)?;
+    timings.callgraph = t0.elapsed();
+
+    let t0 = Instant::now();
     let mut findings = Vec::new();
     // (file, line) pairs the per-file panic-path rule reports; the
     // transitive rule skips them so one unwrap is never two findings.
@@ -122,33 +136,20 @@ pub fn run_lint_with_timings(root: &Path) -> Result<(Vec<Finding>, PassTimings),
     // models live under tests/, which the call graph does not parse).
     let mut test_fns: std::collections::HashMap<String, Vec<String>> =
         std::collections::HashMap::new();
-    let t0 = Instant::now();
-    for krate in &crates {
-        let (src_files, other_files) = workspace::rust_files(root, krate);
+    for (krate, other) in crates.iter().zip(&other_files) {
         let is_data_plane = cfg.data_plane.contains(&krate.name);
         let is_lock_free = cfg.lock_free.contains(&krate.name);
-        for rel in src_files.iter().chain(other_files.iter()) {
-            let text = std::fs::read_to_string(root.join(rel))
-                .map_err(|e| format!("cannot read {}: {e}", rel.display()))?;
-            let toks = lexer::tokenize(&text);
-            let name = rel.to_string_lossy().replace('\\', "/");
-            {
-                let fns = test_fns.entry(krate.name.clone()).or_default();
-                for (i, t) in toks.iter().enumerate() {
-                    if let lexer::TokKind::Ident(s) = &t.kind {
-                        if s == "fn" {
-                            if let Some(lexer::TokKind::Ident(fname)) =
-                                toks.get(i + 1).map(|t| &t.kind)
-                            {
-                                fns.push(fname.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            findings.extend(rules::safety_comment(&name, &toks));
-            if is_data_plane && src_files.contains(rel) {
-                let dp = rules::data_plane_rules(rel, &toks);
+        let parsed: Vec<&callgraph::ParsedFile> = graph
+            .files
+            .iter()
+            .filter(|f| f.crate_name == krate.name)
+            .collect();
+        let fns = test_fns.entry(krate.name.clone()).or_default();
+        for file in &parsed {
+            fn_names(&file.toks, fns);
+            findings.extend(rules::safety_comment(&file.path, &file.toks));
+            if is_data_plane {
+                let dp = rules::data_plane_rules(Path::new(&file.path), &file.toks);
                 panic_path_sites.extend(
                     dp.iter()
                         .filter(|f| f.rule == "panic-path")
@@ -156,16 +157,21 @@ pub fn run_lint_with_timings(root: &Path) -> Result<(Vec<Finding>, PassTimings),
                 );
                 findings.extend(dp);
             }
-            if is_lock_free && src_files.contains(rel) {
-                findings.extend(rules::lock_free_rules(rel, &toks));
+            if is_lock_free {
+                findings.extend(rules::lock_free_rules(Path::new(&file.path), &file.toks));
             }
         }
+        for rel in other {
+            let toks = lexer::tokenize(&workspace::read_source(root, rel)?);
+            fn_names(&toks, fns);
+            findings.extend(rules::safety_comment(&workspace::display_path(rel), &toks));
+        }
         // Crate-root attributes per tier.
-        if let Some(rel) = krate.root_file(root) {
-            let text = std::fs::read_to_string(root.join(&rel))
-                .map_err(|e| format!("cannot read {}: {e}", rel.display()))?;
-            let toks = lexer::tokenize(&text);
-            let name = rel.to_string_lossy().replace('\\', "/");
+        let root_file = ["src/lib.rs", "src/main.rs"].iter().find_map(|candidate| {
+            let name = workspace::display_path(&krate.dir.join(candidate));
+            parsed.iter().find(|f| f.path == name)
+        });
+        if let Some(file) = root_file {
             let mut need: Vec<(&str, &str)> = Vec::new();
             if cfg.forbid_unsafe.contains(&krate.name) {
                 need.push(("forbid", "unsafe_code"));
@@ -178,36 +184,21 @@ pub fn run_lint_with_timings(root: &Path) -> Result<(Vec<Finding>, PassTimings),
                 need.push(("warn", "missing_docs"));
             }
             for (level, lint_name) in need {
-                findings.extend(rules::require_crate_attr(&name, &toks, level, lint_name));
+                findings.extend(rules::require_crate_attr(
+                    &file.path, &file.toks, level, lint_name,
+                ));
             }
         }
     }
-
     timings.per_file = t0.elapsed();
 
-    // Interprocedural pass: build the workspace call graph once, then
-    // run the dataflow rules over it.
-    let t0 = Instant::now();
-    let graph = callgraph::build(root, &crates)?;
-    timings.callgraph = t0.elapsed();
+    // Interprocedural passes over the graph.
     let df_cfg = dataflow::DataflowConfig {
         data_plane: cfg.data_plane.clone(),
         counters: cfg.overflow_counters.clone(),
         hot_extra: cfg.hot_extra.clone(),
     };
-    // A `[hot] extra` suffix naming no workspace fn is rot — the fn
-    // was renamed or removed and the policy silently stopped applying.
-    for suffix in &cfg.hot_extra {
-        let hits = graph.fns.iter().any(|f| {
-            f.qualified.ends_with(suffix.as_str())
-                && f.qualified[..f.qualified.len() - suffix.len()].ends_with("::")
-        });
-        if !hits {
-            return Err(format!(
-                "lint.toml [hot] extra entry `{suffix}` matches no workspace fn — remove or fix it"
-            ));
-        }
-    }
+    graph.named("[hot] extra", &cfg.hot_extra)?;
     let covered = |file: &str, line: u32| {
         panic_path_sites
             .iter()
@@ -278,4 +269,15 @@ pub fn run_lint_with_timings(root: &Path) -> Result<(Vec<Finding>, PassTimings),
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok((findings, timings))
+}
+
+/// Append the name of every `fn` item in `toks` to `out`.
+fn fn_names(toks: &[lexer::Token], out: &mut Vec<String>) {
+    for pair in toks.windows(2) {
+        if lexer::ident(&pair[0]) == Some("fn") {
+            if let Some(name) = lexer::ident(&pair[1]) {
+                out.push(name.to_string());
+            }
+        }
+    }
 }

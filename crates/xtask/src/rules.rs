@@ -13,7 +13,7 @@
 //! the `tests/`/`benches/`/`examples/` trees: tests may unwrap and may
 //! use wall clocks; the packet path may not.
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{ident, is_punct, next_code, prev_code, TokKind, Token};
 use std::path::Path;
 
 /// How far above an `unsafe` block the `SAFETY:` comment may start.
@@ -50,35 +50,6 @@ impl std::fmt::Display for Finding {
         }
         Ok(())
     }
-}
-
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-/// Next token index that is not a comment, starting at `i`.
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Previous token index that is not a comment, ending before `i`.
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
 }
 
 // ---------------------------------------------------------------------
@@ -134,8 +105,11 @@ pub fn safety_comment(file: &str, toks: &[Token]) -> Vec<Finding> {
 // panic-path
 // ---------------------------------------------------------------------
 
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Method names whose call panics on `None`/`Err` (shared with the
+/// transitive rule in [`crate::dataflow`]).
+pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+/// Macros that panic when invoked.
+pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Data-plane code must not contain reachable panic sites: `.unwrap()`
 /// / `.expect()` become typed errors, and constructively-unreachable
@@ -259,7 +233,7 @@ pub fn lock_free(file: &str, toks: &[Token]) -> Vec<Finding> {
 /// [`lock_free`] with `#[cfg(test)]` spans exempted, mirroring
 /// [`data_plane_rules`] — tests may lock to build harnesses.
 pub fn lock_free_rules(file: &Path, toks: &[Token]) -> Vec<Finding> {
-    let name = file.to_string_lossy().replace('\\', "/");
+    let name = crate::workspace::display_path(file);
     let findings = lock_free(&name, toks);
     let spans = cfg_test_spans(toks);
     exempt_test_spans(findings, &spans)
@@ -398,18 +372,24 @@ pub fn cfg_test_spans(toks: &[Token]) -> Vec<(u32, u32)> {
     spans
 }
 
+/// True when `line` falls inside one of the inclusive line `spans`
+/// (`#[cfg(test)]` spans, `LINT: cold` blocks).
+pub fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
+    spans.iter().any(|&(a, b)| line >= a && line <= b)
+}
+
 /// Drop findings whose line falls inside any `#[cfg(test)]` span.
 pub fn exempt_test_spans(findings: Vec<Finding>, spans: &[(u32, u32)]) -> Vec<Finding> {
     findings
         .into_iter()
-        .filter(|f| !spans.iter().any(|&(a, b)| f.line >= a && f.line <= b))
+        .filter(|f| !in_spans(spans, f.line))
         .collect()
 }
 
 /// Convenience used by `run_lint` and the fixture tests: all data-plane
 /// rules on one file, with `#[cfg(test)]` spans exempted.
 pub fn data_plane_rules(file: &Path, toks: &[Token]) -> Vec<Finding> {
-    let name = file.to_string_lossy().replace('\\', "/");
+    let name = crate::workspace::display_path(file);
     let mut findings = Vec::new();
     findings.extend(panic_path(&name, toks));
     findings.extend(wall_clock(&name, toks));

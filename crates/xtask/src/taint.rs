@@ -10,7 +10,7 @@
 //!
 //! ## Propagation
 //!
-//! Multi-source BFS over the call graph, seeded at every fn whose
+//! A breadth-first [`CallGraph::walk`], seeded at every fn whose
 //! qualified path suffix-matches a `[taint] sources` entry. Taint
 //! follows *raw bytes*: an edge is taken only when the callee's
 //! signature mentions `u8` (byte slices, byte readers) — once a parser
@@ -33,9 +33,8 @@
 //! catch.
 
 use crate::callgraph::{CallGraph, FnItem};
-use crate::lexer::{TokKind, Token};
-use crate::rules::Finding;
-use std::collections::VecDeque;
+use crate::lexer::{ident, is_punct, next_code, prev_code, TokKind, Token};
+use crate::rules::{in_spans, Finding};
 
 /// Configuration slice for the taint pass (from `lint.toml` `[taint]`).
 #[derive(Debug, Clone, Default)]
@@ -48,46 +47,6 @@ pub struct TaintConfig {
     /// Identifier names treated as attacker-controlled lengths by the
     /// arithmetic sink.
     pub length_idents: Vec<String>,
-}
-
-fn ident(tok: &Token) -> Option<&str> {
-    match &tok.kind {
-        TokKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokKind::Punct(c)
-}
-
-fn prev_code(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i)
-        .rev()
-        .find(|&j| !matches!(toks[j].kind, TokKind::Comment(_)))
-}
-
-fn next_code(toks: &[Token], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if !matches!(toks[i].kind, TokKind::Comment(_)) {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
-/// Suffix match with a `::` segment boundary (same rule as `[hot]
-/// extra`): `"Request::decode"` matches `serve::wire::Request::decode`
-/// but not `serve::wire::PreRequest::redecode`.
-fn suffix_matches(qualified: &str, suffix: &str) -> bool {
-    qualified == suffix
-        || (qualified.ends_with(suffix)
-            && qualified[..qualified.len() - suffix.len()].ends_with("::"))
 }
 
 /// Does the fn's signature (tokens between its `fn` keyword and its
@@ -105,21 +64,6 @@ fn sig_mentions_u8(graph: &CallGraph, f: &FnItem) -> bool {
         }
     }
     toks[start..end].iter().any(|t| ident(t) == Some("u8"))
-}
-
-/// Render the BFS path from a taint source down to `idx`.
-fn render_chain(graph: &CallGraph, parent: &[Option<(usize, u32)>], idx: usize) -> String {
-    let mut hops = vec![idx];
-    let mut at = idx;
-    while let Some((up, _)) = parent[at] {
-        hops.push(up);
-        at = up;
-    }
-    hops.reverse();
-    hops.iter()
-        .map(|&h| graph.fns[h].qualified.as_str())
-        .collect::<Vec<_>>()
-        .join(" -> ")
 }
 
 /// Is the identifier at `k` visibly sanitized at this use or earlier
@@ -183,56 +127,24 @@ pub fn check(graph: &CallGraph, cfg: &TaintConfig) -> Result<Vec<Finding>, Strin
     if cfg.sources.is_empty() {
         return Ok(Vec::new());
     }
-    for suffix in &cfg.sources {
-        let hits = graph
-            .fns
-            .iter()
-            .any(|f| suffix_matches(&f.qualified, suffix));
-        if !hits {
-            return Err(format!(
-                "lint.toml [taint] sources entry `{suffix}` matches no workspace fn — \
-                 remove or fix it"
-            ));
-        }
-    }
+    let source = graph.named("[taint] sources", &cfg.sources)?;
 
-    // Multi-source BFS with parent chains; edges only into fns whose
-    // signature mentions u8 (see the module docs).
-    let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    let mut seen: Vec<bool> = vec![false; graph.fns.len()];
-    let mut queue = VecDeque::new();
-    for (idx, f) in graph.fns.iter().enumerate() {
-        if !f.in_test && cfg.sources.iter().any(|s| suffix_matches(&f.qualified, s)) {
-            seen[idx] = true;
-            queue.push_back(idx);
-        }
-    }
-    while let Some(at) = queue.pop_front() {
-        for &ci in &graph.edges[at] {
-            let call = &graph.calls[ci];
-            for &callee in &call.resolved {
-                if seen[callee] || graph.fns[callee].in_test {
-                    continue;
-                }
-                if !sig_mentions_u8(graph, &graph.fns[callee]) {
-                    continue;
-                }
-                seen[callee] = true;
-                parent[callee] = Some((at, call.line));
-                queue.push_back(callee);
-            }
-        }
-    }
+    // Walk from the sources, only into fns whose signature mentions u8
+    // (see the module docs).
+    let walk = graph.walk(
+        (0..graph.fns.len()).filter(|&idx| source[idx]),
+        |_, _, callee| sig_mentions_u8(graph, &graph.fns[callee]),
+    );
 
     let mut findings = Vec::new();
-    for (idx, reached) in seen.iter().enumerate() {
-        if !reached {
+    for idx in 0..graph.fns.len() {
+        if !walk.reached(idx) {
             continue;
         }
         let f = &graph.fns[idx];
         let file = &graph.files[f.file];
         let toks = &file.toks;
-        let chain = render_chain(graph, &parent, idx);
+        let chain = walk.chain(graph, idx);
         let body_end = f.body.1.min(toks.len());
         let skip =
             |line: u32| in_spans(&file.test_spans, line) || file.bounded_lines.contains(&line);

@@ -15,20 +15,6 @@ pub struct CrateInfo {
     pub deps: Vec<String>,
 }
 
-impl CrateInfo {
-    /// The crate-root source file (`src/lib.rs`, else `src/main.rs`),
-    /// relative to the workspace root; `None` for manifest-only dirs.
-    pub fn root_file(&self, workspace_root: &Path) -> Option<PathBuf> {
-        for candidate in ["src/lib.rs", "src/main.rs"] {
-            let rel = self.dir.join(candidate);
-            if workspace_root.join(&rel).is_file() {
-                return Some(rel);
-            }
-        }
-        None
-    }
-}
-
 /// Discover member crates by globbing `crates/*/Cargo.toml` (the shape
 /// this workspace's root manifest declares).
 pub fn discover(root: &Path) -> Result<Vec<CrateInfo>, String> {
@@ -136,6 +122,18 @@ pub fn rust_files(root: &Path, krate: &CrateInfo) -> (Vec<PathBuf>, Vec<PathBuf>
     src.sort();
     other.sort();
     (src, other)
+}
+
+/// Read the workspace-relative source file `rel`.
+pub fn read_source(root: &Path, rel: &Path) -> Result<String, String> {
+    std::fs::read_to_string(root.join(rel))
+        .map_err(|e| format!("cannot read {}: {e}", rel.display()))
+}
+
+/// `rel` with `/` separators: how findings and `[[allow]]` entries
+/// name a file on every platform.
+pub fn display_path(rel: &Path) -> String {
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -258,3 +258,35 @@ fn mutation_inserting_a_deep_unwrap_is_caught_with_its_chain() {
         "{new}"
     );
 }
+
+#[test]
+fn hot_extra_accepts_an_exact_qualified_name() {
+    // `[hot] extra` matches fns like `[taint] sources` and
+    // `[durability] funnels` do: a `::`-bounded suffix or the whole
+    // qualified name. Naming `util::build` in full makes it a hot root
+    // of its own, so its allocation's chain starts there instead of at
+    // `dp::fast`.
+    let scratch = std::env::temp_dir().join(format!("cocolint_hot_exact_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    copy_tree(&fixture_root("mini_dataflow_root"), &scratch);
+    let toml = scratch.join("lint.toml");
+    let policy = std::fs::read_to_string(&toml).unwrap();
+    assert!(policy.contains("extra = []"), "fixture drifted");
+    std::fs::write(
+        &toml,
+        policy.replace("extra = []", "extra = [\"util::build\"]"),
+    )
+    .unwrap();
+
+    let result = xtask::run_lint(&scratch);
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    let findings = result.unwrap_or_else(|e| panic!("exact name rejected: {e}"));
+    let hot: Vec<&Finding> = findings.iter().filter(|f| f.rule == "hot-alloc").collect();
+    assert_eq!(hot.len(), 1, "{findings:#?}");
+    assert_eq!(
+        (hot[0].file.as_str(), hot[0].line),
+        ("crates/util/src/lib.rs", 11)
+    );
+    assert_eq!(hot[0].chain.as_deref(), Some("util::build"), "{}", hot[0]);
+}

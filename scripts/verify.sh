@@ -39,8 +39,12 @@ gate_end "test"
 # the root workspace, so `cargo test` above never compiles it; it
 # drives the engine, storage and serve public APIs, so an API change
 # that breaks it fails here instead of in the next benchmark run.
-gate_begin "cargo test --manifest-path e2ebench/Cargo.toml (e2e benchmark)"
-cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+# --locked: e2ebench/Cargo.lock records the dependencies of every crate
+# the benchmark builds, so a dependency change in a workspace crate
+# would make cargo rewrite it; the gate fails instead of silently
+# editing a benchmark file.
+gate_begin "cargo test --locked --manifest-path e2ebench/Cargo.toml (e2e benchmark)"
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 gate_end "e2e-test"
 
 # The durable epoch tier's crash-recovery contract (torn tails
