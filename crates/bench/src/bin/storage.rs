@@ -13,8 +13,10 @@
 //! 2. **reopen** — close the populated directory cleanly (the
 //!    checkpoint that lists the unlisted tail, untimed) and reopen it
 //!    (manifest decode + prefix validation + tail checksum), then
-//!    **scan** every segment back through the total decoder, reporting
-//!    epochs/s and MB/s.
+//!    **scan** every segment back (read, [`sum64`] check, total
+//!    decode), reporting epochs/s and MB/s.
+//!
+//! [`sum64`]: cocosketch::segment::sum64
 //!
 //! The run repeats `--reps` times in fresh directories; per-epoch seal
 //! latencies merge across reps, and rates take the best rep (the usual
@@ -190,8 +192,8 @@ fn main() {
          \"note\": \"seal = full durability protocol (encode, tmp write, fsync, rename, \
          directory fsync; every {}th append also replaces the manifest) per appended epoch, \
          latencies merged across reps; reopen = manifest decode + prefix validation + tail \
-         checksum on a cleanly closed directory, best rep; scan = every segment back through \
-         the total decoder, best rep\"\n}}\n",
+         checksum on a cleanly closed directory, best rep; scan = every segment read, \
+         checksummed (XXH64) and decoded, best rep\"\n}}\n",
         args.epochs,
         args.rows,
         args.reps,

@@ -547,6 +547,65 @@ fn spill_refuses_a_non_empty_directory() {
 }
 
 #[test]
+fn a_cdm1_directory_is_refused_by_name() {
+    let dir = tmpdir("cdm1");
+    let trace = dir.join("t.cct");
+    let spill = dir.join("segments");
+    let out = run(&[
+        "generate",
+        "--preset",
+        "caida",
+        "--scale",
+        "2000",
+        "--seed",
+        "3",
+        "--out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let out = run(&[
+        "measure",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--memory",
+        "100KB",
+        "--window",
+        "5000",
+        "--spill",
+        spill.to_str().unwrap(),
+        "--out",
+        dir.join("t.cft").to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let dir_arg = spill.to_str().unwrap();
+    assert!(run(&["info", "--dir", dir_arg]).status.success());
+    // The same directory under the superseded magic, as an older build
+    // left it: its FNV-1a sums are refused, not misread as bit rot.
+    let manifest = spill.join(cocosketch::segment::MANIFEST_NAME);
+    let current = std::fs::read_to_string(&manifest).unwrap();
+    let magic = cocosketch::segment::MANIFEST_MAGIC;
+    std::fs::write(&manifest, current.replacen(magic, "CDM1", 1)).unwrap();
+    for args in [
+        &["query", "--dir", dir_arg, "--key", "srcip"][..],
+        &["query", "--dir", dir_arg, "--epoch", "0", "--key", "srcip"],
+        &["info", "--dir", dir_arg],
+    ] {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?} accepted a CDM1 directory");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("CDM1") && err.contains("FNV-1a") && err.contains("no longer read"),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn spill_requires_window_and_a_path() {
     let out = run(&[
         "measure",

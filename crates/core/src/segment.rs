@@ -23,13 +23,16 @@
 //!   epoch-00000003.cep.torn      quarantined by torn-tail recovery
 //! ```
 //!
-//! The manifest is one magic line (`CDM1`) followed by one line per
+//! The manifest is one magic line (`CDM2`) followed by one line per
 //! segment, in id order:
 //!
 //! ```text
-//! CDM1
-//! seg <first> <last> <byte len> <fnv1a64 checksum, 16 hex digits>
+//! CDM2
+//! seg <first> <last> <byte len> <XXH64 checksum, seed 0, 16 hex digits>
 //! ```
+//!
+//! `CDM1`, the same lines with FNV-1a sums, is refused with a typed
+//! error rather than read: its sums cannot be checked by [`sum64`].
 //!
 //! Whenever the manifest is written it lists every segment. Between
 //! writes, single-epoch segments appended since the last one sit
@@ -116,8 +119,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Manifest file name inside an epoch directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
-/// First line of a manifest (the format magic).
-pub const MANIFEST_MAGIC: &str = "CDM1";
+/// First line of a manifest (the format magic). `CDM2` sums are
+/// [`sum64`] (XXH64); the older `CDM1`, whose sums were FNV-1a, is
+/// refused by [`decode_manifest`].
+pub const MANIFEST_MAGIC: &str = "CDM2";
+
+/// The superseded magic: the same line format with FNV-1a sums.
+const MANIFEST_MAGIC_FNV: &str = "CDM1";
 
 /// Suffix given to quarantined (torn or undecodable) segment files.
 pub const TORN_SUFFIX: &str = ".torn";
@@ -134,16 +142,83 @@ pub const TORN_SUFFIX: &str = ".torn";
 /// append already pays, while reopen decodes no more than 64 segments.
 pub const MANIFEST_LAG: usize = 64;
 
-/// FNV-1a 64-bit checksum of `data` — the manifest's integrity check
-/// for segment bytes. Not cryptographic; it catches torn writes and
-/// bit rot, which is the threat model for a local spill directory.
+/// XXH64 (seed 0) of `data` — the manifest's integrity check for
+/// segment bytes. Four 64-bit lanes consume 32-byte stripes of
+/// little-endian words, so the multiply chains run side by side
+/// instead of one dependent multiply per byte; the tail and the final
+/// avalanche follow the published algorithm, so any XXH64
+/// implementation reproduces these sums. A `CDM2` manifest records
+/// them; a `CDM1` manifest, whose sums were FNV-1a, is refused. Not
+/// cryptographic; it catches torn writes and bit rot, which is the
+/// threat model for a local spill directory.
 pub fn sum64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, word: u64| {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    // `chunks_exact(8)` hands over exactly 8 bytes, so the copy's
+    // length check folds away.
+    let word = |bytes: &[u8]| {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(bytes);
+        u64::from_le_bytes(le)
+    };
+    let mut stripes = data.chunks_exact(32);
+    let mut hash = if data.len() < 32 {
+        P5
+    } else {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, bytes) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, word(bytes));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let mut hash = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        for lane in lanes {
+            hash = (hash ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        hash
+    };
+    hash = hash.wrapping_add(data.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for bytes in &mut words {
+        hash = (hash ^ round(0, word(bytes)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
     }
-    hash
+    let mut halves = words.remainder().chunks_exact(4);
+    for bytes in &mut halves {
+        let half = bytes
+            .iter()
+            .rev()
+            .fold(0, |acc, &b| (acc << 8) | u64::from(b));
+        hash = (hash ^ half.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+    }
+    for &byte in halves.remainder() {
+        hash = (hash ^ u64::from(byte).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// One manifest entry: an immutable segment file holding epochs
@@ -158,7 +233,8 @@ pub struct SegmentMeta {
     pub last: u64,
     /// Exact byte length of the segment file.
     pub bytes: u64,
-    /// [`sum64`] of the segment file's bytes.
+    /// [`sum64`] (XXH64, seed 0) of the segment file's bytes — the
+    /// `CDM2` manifest's sum column (`CDM1`'s FNV-1a sums are refused).
     pub sum: u64,
 }
 
@@ -188,16 +264,26 @@ fn data_err(msg: String) -> io::Error {
 }
 
 /// Decode a manifest read off disk. Returns `Err` (never panics) on
-/// non-UTF-8 bytes, a bad magic line, malformed entries, or entries
-/// that are not contiguous ascending id ranges — the manifest is
-/// untrusted input exactly like a wire frame, so nothing here sizes an
-/// allocation from a parsed count (entries accumulate line by line).
+/// non-UTF-8 bytes, a bad magic line (a `CDM1` manifest gets an error
+/// that names it: its FNV-1a sums are no longer read), malformed
+/// entries, or entries that are not contiguous ascending id ranges —
+/// the manifest is untrusted input exactly like a wire frame, so
+/// nothing here sizes an allocation from a parsed count (entries
+/// accumulate line by line).
 pub fn decode_manifest(data: &[u8]) -> io::Result<Vec<SegmentMeta>> {
     let text =
         std::str::from_utf8(data).map_err(|_| data_err("manifest is not UTF-8".to_string()))?;
     let mut lines = text.lines();
-    if lines.next().map(str::trim) != Some(MANIFEST_MAGIC) {
-        return Err(data_err("bad manifest magic".to_string()));
+    match lines.next().map(str::trim) {
+        Some(MANIFEST_MAGIC) => {}
+        Some(MANIFEST_MAGIC_FNV) => {
+            return Err(data_err(format!(
+                "manifest is {MANIFEST_MAGIC_FNV}, whose FNV-1a segment sums are no longer \
+                 read; this build reads {MANIFEST_MAGIC} (XXH64 sums), so re-measure into an \
+                 empty directory"
+            )))
+        }
+        _ => return Err(data_err("bad manifest magic".to_string())),
     }
     let mut out: Vec<SegmentMeta> = Vec::new();
     for (lineno, line) in lines.enumerate() {
@@ -1366,6 +1452,43 @@ mod tests {
     }
 
     #[test]
+    fn sum64_is_xxh64_with_seed_zero() {
+        // The published XXH64 test vectors, seed 0.
+        assert_eq!(sum64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(sum64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(sum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // Lengths below, at and past one 32-byte stripe, through every
+        // tail branch (8-byte words, a 4-byte half, single bytes), up
+        // to a full-size e2e segment. The low 32 bits of XXH64 are
+        // zstd's frame checksum, an independent reference:
+        // `zstd -q --check -c FILE | tail -c 4 | od -An -tx4`.
+        let pattern = |n: usize| (0..n).map(|i| (7 * i + 3) as u8).collect::<Vec<u8>>();
+        for (len, low) in [
+            (31, 0xcc4a_6119),
+            (32, 0xf790_fd97),
+            (33, 0xba58_8784),
+            (63, 0x31c7_493c),
+            (64, 0xf6ee_b01f),
+            (100, 0x170f_e531),
+            (643_000, 0x45d3_c049),
+        ] {
+            assert_eq!(sum64(&pattern(len)) as u32, low, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_segment_changes_its_sum() {
+        let mut data = epoch::encode(&epoch(3, 40));
+        let sum = sum64(&data);
+        for bit in 0..data.len() * 8 {
+            data[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(sum64(&data), sum, "bit {bit} of {}", data.len());
+            data[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(sum64(&data), sum);
+    }
+
+    #[test]
     fn append_get_scan_roundtrip_bit_identical() {
         let root = tmp("roundtrip");
         let (mut dir, report) = EpochDir::open(&root).unwrap();
@@ -1469,17 +1592,32 @@ mod tests {
         ];
         let text = encode_manifest(&metas);
         assert_eq!(decode_manifest(&text).unwrap(), metas);
+        // Each bad case carries the current magic and must fail on the
+        // defect it names, not on its first line.
+        let refused = |body: &str| {
+            let text = format!("{MANIFEST_MAGIC}\n{body}");
+            decode_manifest(text.as_bytes()).unwrap_err().to_string()
+        };
+        assert!(refused("seg 1 0 5 00\n").contains("inverted range"));
+        assert!(refused("seg 0 0 5 00\nseg 2 2 5 00\n").contains("non-contiguous"));
+        assert!(refused("seg 0 0 5\n").contains("malformed manifest line 2"));
+        assert!(refused("seg 0 0 5 xyz\n").contains("bad checksum"));
         assert!(decode_manifest(b"nope\n").is_err());
-        assert!(
-            decode_manifest(b"CDM1\nseg 1 0 5 00\n").is_err(),
-            "inverted"
-        );
-        assert!(
-            decode_manifest(b"CDM1\nseg 0 0 5 00\nseg 2 2 5 00\n").is_err(),
-            "gap"
-        );
-        assert!(decode_manifest(b"CDM1\nseg 0 0 5\n").is_err(), "short line");
         assert!(decode_manifest(&[0xFF, 0xFE]).is_err(), "not utf-8");
+    }
+
+    #[test]
+    fn a_cdm1_manifest_is_refused_by_name() {
+        // Well-formed lines under the superseded magic: their FNV-1a
+        // sums cannot be checked by sum64, so the whole manifest is
+        // refused with an error that says why.
+        let err = decode_manifest(b"CDM1\nseg 0 0 64 0000000000000000\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("CDM1") && msg.contains("FNV-1a"), "{msg}");
+        assert!(msg.contains("no longer read"), "{msg}");
+        let lines = "seg 0 0 64 0000000000000000\n";
+        assert!(decode_manifest(format!("{MANIFEST_MAGIC}\n{lines}").as_bytes()).is_ok());
     }
 
     #[test]
@@ -1517,7 +1655,7 @@ mod tests {
             ));
         }
         assert_eq!(encode_manifest(&metas), want.into_bytes());
-        assert_eq!(encode_manifest(&[]), b"CDM1\n");
+        assert_eq!(encode_manifest(&[]), b"CDM2\n");
     }
 
     #[test]

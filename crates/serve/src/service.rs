@@ -790,12 +790,18 @@ mod tests {
 
     #[test]
     fn cold_read_failures_are_counted_not_silent() {
+        use cocosketch::segment::{MANIFEST_MAGIC, MANIFEST_NAME};
         let root = std::env::temp_dir().join(format!("serve-cold-err-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         std::fs::create_dir_all(&root).unwrap();
         // A manifest that parses but names a segment file that does
         // not exist: the read must answer as a miss AND be counted.
-        std::fs::write(root.join("MANIFEST"), "CDM1\nseg 0 0 64 0000000000000000\n").unwrap();
+        let manifest = format!("{MANIFEST_MAGIC}\nseg 0 0 64 0000000000000000\n");
+        std::fs::write(root.join(MANIFEST_NAME), manifest).unwrap();
+        assert!(
+            DirReader::new(&root).segments().is_ok(),
+            "the manifest parses"
+        );
         let (mut publisher, svc) = service_with_cold(2, DirReader::new(&root));
         assert!(svc.partial(Select::Id(0), &KeySpec::SRC_IP).is_none());
         assert_eq!(svc.info().cold_errors, 1, "missing segment is an error");

@@ -47,6 +47,14 @@ gate_begin "cargo test --locked --manifest-path e2ebench/Cargo.toml (e2e benchma
 cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 gate_end "e2e-test"
 
+# scripts/e2e_pairs.sh judges performance claims by the e2ebench
+# README's pair rule. Its self-test judges canned pairs holding one
+# metric of each verdict (gain, within bound, worse, unresolved), so an
+# edit that flips a verdict fails here, not in a PR's report.
+gate_begin "e2e_pairs.sh --self-test (pair-rule judge)"
+sh scripts/e2e_pairs.sh --self-test
+gate_end "pairs-judge"
+
 # The durable epoch tier's crash-recovery contract (torn tails
 # quarantine at every truncation boundary, adoption heals the
 # rename/manifest crash window, spill round-trips bit-identically) is

@@ -1,6 +1,7 @@
 //! Crash-recovery and durability integration of the epoch segment
 //! store: a torn tail quarantines instead of panicking (at *every*
-//! truncation boundary), adoption heals the crash window between the
+//! truncation boundary), the checksum catches every zeroed 512-byte
+//! block of a real segment, adoption heals the crash window between the
 //! last segment rename and the manifest rename that would list it,
 //! eviction spills epochs that reload bit-identically, and compaction
 //! conserves weight per key exactly. The final test drives the same compaction protocol through
@@ -96,6 +97,76 @@ fn truncated_tail_quarantines_and_serves_the_prefix() {
     let (restored, report) = EpochDir::open(&root).unwrap();
     assert!(report.quarantined.is_empty(), "{report:?}");
     assert_eq!(restored.len(), 3);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Bit rot and torn writes in a real, engine-sealed segment: zeroing
+/// any one 512-byte block (same length, so only the checksum can tell)
+/// and truncating at any 512-byte boundary must each fail
+/// `read_epoch` and make reopen quarantine the segment as a torn tail,
+/// still serving the prefix bit-identically.
+#[test]
+fn zeroed_blocks_and_block_truncations_of_a_caida_segment_are_caught() {
+    const BLOCK: usize = 512;
+    let root = tmp("blocks");
+    let trace = caida_like(400, 9);
+    let pkts: Vec<(KeyBytes, u64)> = trace
+        .packets
+        .iter()
+        .map(|p| (KeySpec::FIVE_TUPLE.project(&p.flow), u64::from(p.weight)))
+        .collect();
+    let config = EngineConfig {
+        threads: 1,
+        buckets: 2048,
+        ..EngineConfig::default()
+    };
+    let mut session = ShardedCocoSketch::new(config).session();
+    let (mut dir, _) = EpochDir::open(&root).unwrap();
+    for chunk in pkts.chunks(pkts.len() / 2 + 1) {
+        session.push_batch(chunk);
+        dir.append(&session.rotate_collect().to_epoch(KeySpec::FIVE_TUPLE))
+            .unwrap();
+    }
+    dir.checkpoint().unwrap();
+    assert_eq!(dir.ids(), Some((0, 1)));
+    let prefix = epoch::encode(&dir.read_epoch(0).unwrap().unwrap());
+    let tail_path = root.join(dir.segments()[1].file_name());
+    let tail_bytes = std::fs::read(&tail_path).unwrap();
+    let manifest = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
+    assert!(tail_bytes.len() > 32 * BLOCK, "{} bytes", tail_bytes.len());
+
+    let caught = |what: &str, bytes: &[u8]| {
+        std::fs::write(&tail_path, bytes).unwrap();
+        std::fs::write(root.join(MANIFEST_NAME), &manifest).unwrap();
+        assert!(dir.read_epoch(1).is_err(), "{what}: read_epoch served it");
+        let (reopened, report) =
+            EpochDir::open(&root).unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+        assert_eq!(report.quarantined.len(), 1, "{what}: {report:?}");
+        assert!(!tail_path.exists(), "{what}: torn tail renamed away");
+        assert_eq!(reopened.ids(), Some((0, 0)), "{what}: prefix survives");
+        let got = reopened.read_epoch(0).unwrap().unwrap();
+        assert_eq!(epoch::encode(&got), prefix, "{what}: prefix diverged");
+        std::fs::remove_file(&report.quarantined[0]).unwrap();
+    };
+    for start in (0..tail_bytes.len()).step_by(BLOCK) {
+        let mut zeroed = tail_bytes.clone();
+        let end = (start + BLOCK).min(zeroed.len());
+        assert!(
+            zeroed[start..end].iter().any(|&b| b != 0),
+            "block at {start}"
+        );
+        zeroed[start..end].fill(0);
+        caught(&format!("block at {start} zeroed"), &zeroed);
+        caught(&format!("cut at {start}"), &tail_bytes[..start]);
+    }
+
+    // The original bytes still reopen whole.
+    std::fs::write(&tail_path, &tail_bytes).unwrap();
+    std::fs::write(root.join(MANIFEST_NAME), &manifest).unwrap();
+    let (restored, report) = EpochDir::open(&root).unwrap();
+    assert!(report.quarantined.is_empty(), "{report:?}");
+    assert_eq!(restored.ids(), Some((0, 1)));
+    drop((dir, restored));
     std::fs::remove_dir_all(&root).ok();
 }
 
